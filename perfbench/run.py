@@ -10,11 +10,19 @@ Workloads: corpus-embed, sweep-interactive, wire-hot-mix, finetune (see
 BENCHMARK.json and perfbench/README.md). The last line of stdout is the
 result as one JSON object. Build output goes to stderr. A checkout without
 the program's sources fails the build and exits non-zero without a result.
+
+BENCHMARK.json is the one list of metrics and units. The binary prints only
+the metrics its workload set; this script checks each against the list for
+the run's mode (end_to_end for --trace 0, per_layer for --trace 1) and
+reports a listed metric the workload did not set, a layer it does not load,
+as 0.
 """
 
 import hashlib
+import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 
@@ -54,14 +62,53 @@ def commit_id():
     return "tree-" + h.hexdigest()[:16]
 
 
+def complete(result, trace):
+    """The binary's result with every metric of the run's mode, in
+    BENCHMARK.json order; None (after a message) if it set a metric that is
+    not listed there or gave one in another unit."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    listed = spec["per_layer" if trace else "end_to_end"]
+    units = {m["name"]: m["unit"] for m in listed}
+    for name, m in result["metrics"].items():
+        if name not in units:
+            print(f"perfbench: metric {name} is not listed in BENCHMARK.json",
+                  file=sys.stderr)
+            return None
+        if m["unit"] != units[name]:
+            print(f"perfbench: {name} reported in {m['unit']}, "
+                  f"BENCHMARK.json says {units[name]}", file=sys.stderr)
+            return None
+    metrics = {}
+    for m in listed:
+        metrics[m["name"]] = result["metrics"].get(
+            m["name"], {"value": 0.0, "unit": m["unit"]})
+    return dict(result, metrics=metrics)
+
+
 def main():
     build()
-    binary = BUILD / "perfbench"
-    args = [str(binary)] + sys.argv[1:] + ["--commit", commit_id()]
+    argv = sys.argv[1:]
+    trace = "--trace" in argv[:-1] and argv[argv.index("--trace") + 1] == "1"
+    args = [str(BUILD / "perfbench")] + sys.argv[1:] + ["--commit", commit_id()]
     sys.stdout.flush()
-    sys.stderr.flush()
-    os.chdir(ROOT)
-    os.execv(str(binary), args)
+    proc = subprocess.Popen(args, cwd=ROOT, stdout=subprocess.PIPE, text=True)
+    # A terminated run stops its workload too.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
+    try:
+        out, _ = proc.communicate()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    lines = out.splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.stdout.write(out)
+        sys.exit(proc.returncode or 1)
+    sys.stdout.write("\n".join(lines[:-1]) + "\n")
+    result = complete(json.loads(lines[-1]), trace)
+    if result is None:
+        sys.exit(1)
+    print(json.dumps(result))
 
 
 if __name__ == "__main__":

@@ -115,11 +115,11 @@ void Report::wrong(const std::string& what, std::uint64_t count) {
 void report_end_to_end(Report& r, const Phase& p, double setup_s) {
   const auto n = static_cast<std::uint64_t>(p.latency_ms.size());
   const auto latency = [&p](double q) {
-    if (p.latency_windows.empty()) return percentile(p.latency_ms, q);
-    std::vector<double> per_window;
-    for (const std::vector<double>& w : p.latency_windows)
-      per_window.push_back(percentile(w, q));
-    return median(per_window);
+    if (p.latency_blocks.empty()) return percentile(p.latency_ms, q);
+    std::vector<double> per_block;
+    for (const std::vector<double>& b : p.latency_blocks)
+      per_block.push_back(percentile(b, q));
+    return median(per_block);
   };
   r.set("ops_per_s", p.ops_per_s(), "ops/s", p.ops);
   r.set("latency_p50_ms", latency(0.50), "ms", n);

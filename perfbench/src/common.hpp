@@ -24,19 +24,19 @@ struct Sizes {
   int corpus_files = 4;
   int corpus_modules = 8;  // per file; every 10th module is a duplicate
   int corpus_gates = 260;  // mean gates per module
-  // sweep-interactive
-  // Table IV at 1/64: ~270 requests per 20 s run, so the p99 is not the
-  // run's single slowest request.
-  double design_scale = 1.0 / 64.0;
+  // sweep-interactive: Table IV at the scale bench/ uses for Table VI
+  // (bench_util's design_scale, 1/16).
+  double design_scale = 1.0 / 16.0;
   // wire-hot-mix
   int hot_circuits = 64;
   int hot_workloads = 2;  // per circuit
-  // finetune
-  int train_samples = 24;
+  // finetune: one epoch (one batch of 8) takes ~0.1 s, so a 25 s run
+  // times well over 100 epochs and its p99 is not the slowest epoch.
+  int train_samples = 8;
   int train_sim_cycles = 500;
   double train_size_scale = 0.25;
   // every workload
-  int setups = 3;  // set-ups per run; setup_s is their median
+  int setups = 5;  // set-ups per run; setup_s is their median
   int checks = 4;  // served results re-computed on the reference Session
 
   static Sizes full() { return {}; }
@@ -93,11 +93,14 @@ deepseq::api::SessionConfig reference_config();
 /// one state per run where a total averages them.
 struct Phase {
   std::vector<double> latency_ms;
-  /// When set, latency percentiles are the median over these windows of
-  /// each window's percentile. Used only where every window holds >= 1000
-  /// ops, so a window's p99 has ten samples beyond it; a contention burst
-  /// on the shared host then moves a few windows, not the run's figure.
-  std::vector<std::vector<double>> latency_windows;
+  /// When set, latency percentiles are the median over these blocks of
+  /// each block's percentile. wire-hot-mix cuts its replies, in completion
+  /// order, into blocks of a fixed count and keeps every block, so a
+  /// contention burst on the shared host moves a few blocks, not the run's
+  /// figure. The result is a median of per-block percentiles, not the
+  /// run's pooled p99: a stall that recurs in under half the blocks does
+  /// not show in it.
+  std::vector<std::vector<double>> latency_blocks;
   std::uint64_t ops = 0, attempted = 0, failed = 0;
   double wall_s = 0, cpu_s = 0;
 

@@ -7,7 +7,8 @@
 //    {"value": .., "unit": ..}, ...}}
 //
 // --trace 0 reports the end-to-end metrics; --trace 1 reports the per-layer
-// metrics (a layer a workload does not load reads 0).
+// metrics. Only the metrics a workload set are printed: perfbench/run.py
+// completes the result against the lists in BENCHMARK.json.
 //
 //   perfbench --workload <corpus-embed|sweep-interactive|wire-hot-mix|
 //             finetune> --seed N --seconds S --trace 0|1
@@ -21,6 +22,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "common.hpp"
 #include "nn/executor.hpp"
@@ -31,60 +33,6 @@ extern char** environ;
 namespace {
 
 using namespace perfbench;
-
-struct MetricSpec {
-  const char* name;
-  const char* unit;
-};
-
-constexpr MetricSpec kEndToEnd[] = {
-    {"ops_per_s", "ops/s"},     {"latency_p50_ms", "ms"},
-    {"latency_p90_ms", "ms"},   {"latency_p99_ms", "ms"},
-    {"cpu_ms_per_op", "ms"},    {"setup_s", "s"},
-    {"peak_rss_mb", "MB"},
-};
-
-constexpr MetricSpec kPerLayer[] = {
-    {"ingest.scan_s", "s"},
-    {"ingest.mb_per_s", "MB/s"},
-    {"ingest.designs", "count"},
-    {"ingest.dup_dropped", "count"},
-    {"netlist.aig_s", "s"},
-    {"netlist.aig_nodes", "count"},
-    {"runtime.queue_ms.p50", "ms"},
-    {"runtime.queue_ms.p99", "ms"},
-    {"runtime.batch_size.mean", "requests"},
-    {"runtime.structure_hit_rate", "ratio"},
-    {"runtime.embedding_hit_rate", "ratio"},
-    {"runtime.regression_hit_rate", "ratio"},
-    {"runtime.evictions", "count"},
-    {"runtime.prepare_ms.p50", "ms"},
-    {"nn.embed_ms.p50", "ms"},
-    {"nn.embed_ms.p90", "ms"},
-    {"nn.steps_per_embed", "count"},
-    {"nn.flushes_per_embed", "count"},
-    {"nn.chains_per_embed", "count"},
-    {"nn.global_syncs_per_embed", "count"},
-    {"nn.ns_per_step", "ns"},
-    {"api.head_ms.embedding", "ms"},
-    {"api.head_ms.logic-prob", "ms"},
-    {"api.head_ms.transition-prob", "ms"},
-    {"api.head_ms.power", "ms"},
-    {"api.head_ms.reliability", "ms"},
-    {"api.head_ms.testability", "ms"},
-    {"serve.wire_ms.p50", "ms"},
-    {"serve.wire_ms.p99", "ms"},
-    {"serve.encode_us", "us"},
-    {"serve.decode_us", "us"},
-    {"serve.shard_skew", "ratio"},
-    {"serve.shed", "count"},
-    {"train.epoch_s", "s"},
-    {"train.steps_per_epoch", "count"},
-    {"train.ns_per_step", "ns"},
-    {"sim.dataset_s", "s"},
-    {"proc.cpu_util", "cores"},
-    {"obs.trace_overhead", "ratio"},
-};
 
 [[noreturn]] void usage(const char* why) {
   std::fprintf(stderr,
@@ -104,6 +52,22 @@ std::string cpu_model() {
       return colon == std::string::npos ? line : line.substr(colon + 2);
     }
   return "unknown";
+}
+
+/// Host-wide CPU ticks from /proc/stat: {steal, all}. Steal is time the
+/// hypervisor gave this machine's CPUs to other guests. On a shared host it
+/// is one reason two runs of the same code differ, and the one the guest
+/// can see.
+std::pair<double, double> host_ticks() {
+  std::ifstream in("/proc/stat");
+  std::string cpu;
+  in >> cpu;
+  double all = 0, steal = 0, v = 0;
+  for (int i = 0; i < 8 && in >> v; ++i) {
+    all += v;
+    if (i == 7) steal = v;
+  }
+  return {steal, all};
 }
 
 std::string json_escape(const std::string& s) {
@@ -183,6 +147,7 @@ int main(int argc, char** argv) {
               o.seconds, o.trace ? 1 : 0, size.c_str());
   std::fflush(stdout);
 
+  const auto ticks0 = host_ticks();
   Report r;
   try {
     if (o.workload == "corpus-embed") {
@@ -203,36 +168,22 @@ int main(int argc, char** argv) {
   }
 
   for (const std::string& n : r.notes) std::printf("note: %s\n", n.c_str());
-  const auto specs = o.trace ? std::vector<MetricSpec>(std::begin(kPerLayer),
-                                                       std::end(kPerLayer))
-                             : std::vector<MetricSpec>(std::begin(kEndToEnd),
-                                                       std::end(kEndToEnd));
+  const auto ticks1 = host_ticks();
+  if (ticks1.second > ticks0.second)
+    std::printf("note: host steal %.1f%% of CPU time during the run\n",
+                100.0 * (ticks1.first - ticks0.first) /
+                    (ticks1.second - ticks0.second));
+  // Only the metrics the workload set; run.py checks them against
+  // BENCHMARK.json and fills a layer the workload does not load with 0.
   std::string json;
-  for (const MetricSpec& m : specs) {
-    // A layer the workload does not load did no work: it reads 0.
-    const auto it = r.metrics.find(m.name);
-    const Metric v = it == r.metrics.end() ? Metric{0.0, m.unit, 0} : it->second;
-    if (v.unit != m.unit) {
-      std::fprintf(stderr, "perfbench: %s reported in %s, expected %s\n",
-                   m.name, v.unit.c_str(), m.unit);
-      return 1;
-    }
-    const double value = std::isfinite(v.value) ? v.value : 0.0;
-    std::printf("metric %-30s %16.6f %-8s samples=%llu\n", m.name, value,
-                m.unit, static_cast<unsigned long long>(v.samples));
+  for (const auto& [name, m] : r.metrics) {
+    const double value = std::isfinite(m.value) ? m.value : 0.0;
+    std::printf("metric %-30s %16.6f %-8s samples=%llu\n", name.c_str(), value,
+                m.unit.c_str(), static_cast<unsigned long long>(m.samples));
     char buf[256];
     std::snprintf(buf, sizeof buf, "%s\"%s\": {\"value\": %.17g, \"unit\": \"%s\"}",
-                  json.empty() ? "" : ", ", m.name, value, m.unit);
+                  json.empty() ? "" : ", ", name.c_str(), value, m.unit.c_str());
     json += buf;
-  }
-  for (const auto& [name, v] : r.metrics) {
-    bool listed = false;
-    for (const MetricSpec& m : kEndToEnd) listed |= name == m.name;
-    for (const MetricSpec& m : kPerLayer) listed |= name == m.name;
-    if (!listed) {
-      std::fprintf(stderr, "perfbench: unlisted metric %s\n", name.c_str());
-      return 1;
-    }
   }
   const std::uint64_t attempted = std::max<std::uint64_t>(r.attempted, 1);
   std::printf("error_rate %.6f (%llu failed of %llu attempted)\n",

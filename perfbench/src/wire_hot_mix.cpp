@@ -32,6 +32,9 @@ constexpr int kShards = 2;
 /// so a traced window stops before it could overwrite its own spans.
 constexpr std::uint64_t kTracedOpCap = 4000;
 constexpr std::uint64_t kCircuitSeed = 2024;
+/// Replies per latency block (see Phase::latency_blocks): a block's p99
+/// has ten replies beyond it.
+constexpr std::size_t kBlockOps = 1000;
 
 struct HotSet {
   std::vector<std::shared_ptr<const Circuit>> circuits;
@@ -164,16 +167,18 @@ Phase drive(std::uint16_t port, const HotSet& h, int clients, double seconds,
   p.failed = failed.load();
   p.latency_ms = t.latency_ms;
 
-  // One-second windows by completion time; only full ones (>= 1000
-  // replies) count, and the pooled figures stand in when none is full.
-  std::vector<std::vector<double>> windows;
-  for (std::size_t i = 0; i < t.done_at_s.size(); ++i) {
-    const auto w = static_cast<std::size_t>(t.done_at_s[i]);
-    if (w >= windows.size()) windows.resize(w + 1);
-    windows[w].push_back(t.latency_ms[i]);
-  }
-  for (std::vector<double>& w : windows)
-    if (w.size() >= 1000) p.latency_windows.push_back(std::move(w));
+  // Blocks of kBlockOps replies in completion order; the remainder joins
+  // the last block, so every reply counts whatever the throughput.
+  std::vector<std::size_t> order(t.done_at_s.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&t](std::size_t a, std::size_t b) {
+    return t.done_at_s[a] < t.done_at_s[b];
+  });
+  const std::size_t blocks = std::max<std::size_t>(1, order.size() / kBlockOps);
+  p.latency_blocks.resize(blocks);
+  for (std::size_t i = 0; i < order.size(); ++i)
+    p.latency_blocks[std::min(i / kBlockOps, blocks - 1)].push_back(
+        t.latency_ms[order[i]]);
   return p;
 }
 
