@@ -30,9 +30,11 @@ struct Sizes {
   // wire-hot-mix
   int hot_circuits = 64;
   int hot_workloads = 2;  // per circuit
-  // finetune: one epoch (one batch of 8) takes ~0.1 s, so a 25 s run
-  // times well over 100 epochs and its p99 is not the slowest epoch.
-  int train_samples = 8;
+  // finetune: one epoch (three batches of 8) takes ~0.3 s per job, so a
+  // 25 s run of four jobs times over 300 epochs. A stolen core stalls an
+  // epoch for up to ~0.25 s on a shared host: against a 0.1 s epoch that
+  // tripled the tail of a run under steal, against 0.3 s it adds under 2x.
+  int train_samples = 24;
   int train_sim_cycles = 500;
   double train_size_scale = 0.25;
   // every workload

@@ -94,6 +94,12 @@ Report run_sweep_interactive(const Options& o) {
   api::SessionConfig cfg;
   cfg.engine.cache.embedding_capacity = cfg.engine.cache.shards;
   cfg.engine.cache.regression_capacity = cfg.engine.cache.shards;
+  // Two engine threads, so a forward pass runs on two nn threads drawn
+  // from the same pool: intra-circuit parallelism is measured, and the
+  // other cores of a 4-vCPU host absorb its neighbours' load. With one
+  // helper per core, a stolen or slowed core stalls every flush, and the
+  // latency tail followed host load instead of the program.
+  cfg.engine.threads = 2;
 
   // Set-up: a Session plus one request per design, which fills the
   // structure cache. Repeated; the last one serves the timed window.
