@@ -1,29 +1,28 @@
-// Single-circuit propagation microbenchmark across the Table IV designs,
-// nn-executor thread counts, DEEPSEQ_NN_FUSE and DEEPSEQ_NN_SIMD settings:
-// the zero-barrier execution core this bench exists to track. For every
-// design the bench times DeepSeqModel::embed under DEEPSEQ_NN_THREADS-
-// equivalent executors (1 = the sequential path) across fuse x simd, checks
-// every combination bit-identical to sequential scalar, and — for the
-// largest design — verifies gradient bit-identity in grad mode, records
-// per-level (per planner flush) timing, and reports the structural chain
-// statistics: barriers (cut waves), global syncs the dependency-counted
-// scheduler actually pays, released chains, slab row traffic, chains, the
-// chain-length histogram, and the fused/unfused barrier ratio. A
-// record-overhead micro reports ns per recorded op.
+// Single-circuit propagation microbenchmark across the Table IV designs (at
+// the bench design scale, DEEPSEQ_SCALE_DENOM, default 1/16), at two model
+// scales: bench (DEEPSEQ_HIDDEN / DEEPSEQ_T, default H=32, T=4) and paper
+// (H=64, T=10, §IV-A3). For every design and scale it times
 //
-// Emits a table and micro_propagation.json (bench_util::JsonWriter) with
-// `threads`, `fused` and `simd` dimensions so the perf trajectory of the
-// record/plan/execute stack is machine-readable across commits (the repo
-// commits a snapshot as BENCH_micro_propagation.json at the root). The
-// structural fields (barriers, global_syncs, chains, chain_len_histogram)
-// depend only on the plans and the selected scheduler, never on host core
-// count — a 1-core CI box verifies the barrier win deterministically; only
-// the speedup column needs a multi-core host (`hardware_concurrency` is
-// part of the JSON so ~1.0x is self-explaining).
+//   * the direct no-grad embed — DeepSeqModel::embed on a no-grad Graph,
+//     which runs the sweeps as straight nn::kernels calls on the calling
+//     thread (no record, plan or dispatch), with SIMD on and off;
+//   * the grad-path forward — the same embed recorded on a grad-enabled
+//     Graph, planned and executed (no backward), sequentially and on the
+//     widest nn executor; this is the path training runs;
 //
-// Knobs: DEEPSEQ_PROP_THREADS (max thread sweep, default 4),
-// DEEPSEQ_PROP_REPS (timing repetitions, default 3), DEEPSEQ_FULL=1 for
-// paper-scale designs and model.
+// and checks every direct embed bit-identical to the grad-path forward. For
+// the largest design it also reports the grad-path chain structure (fused
+// vs unfused barriers), the record overhead per op, and sequential vs
+// parallel backward parity.
+//
+// Emits a table and micro_propagation.json (bench_util::JsonWriter); the
+// repo commits a snapshot as BENCH_micro_propagation.json at the root.
+// `hardware_concurrency` is part of the JSON so thread speedups explain
+// themselves.
+//
+// Knobs: DEEPSEQ_PROP_THREADS (widest executor, default 4),
+// DEEPSEQ_PROP_REPS (timing repetitions, best-of, default 3), DEEPSEQ_FULL=1
+// for paper-scale designs.
 
 #include <cstdio>
 #include <cstdlib>
@@ -39,7 +38,6 @@
 #include "dataset/test_designs.hpp"
 #include "netlist/aig.hpp"
 #include "nn/executor.hpp"
-#include "nn/gradcheck.hpp"
 #include "runtime/thread_pool.hpp"
 
 using namespace deepseq;
@@ -64,53 +62,29 @@ bool bit_identical(const nn::Tensor& a, const nn::Tensor& b) {
 void set_fuse(bool on) { ::setenv("DEEPSEQ_NN_FUSE", on ? "1" : "0", 1); }
 void set_simd(bool on) { ::setenv("DEEPSEQ_NN_SIMD", on ? "1" : "0", 1); }
 
-double time_embed(const DeepSeqModel& model, const Design& d,
+/// Best-of-`reps` wall time of one embed: direct when !grad, the recorded
+/// graph forward when grad. The first rep's output and ExecStats are kept.
+double time_embed(const DeepSeqModel& model, const Design& d, bool grad,
                   nn::Executor& exec, int reps, nn::Tensor* out,
-                  nn::ExecStats* stats = nullptr) {
+                  nn::ExecStats* stats) {
   nn::ExecutorScope scope(exec);
   double best = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
-    const bool trace = stats != nullptr && rep == 0;
     nn::ExecStats local;
     WallTimer t;
-    nn::Graph g(/*grad_enabled=*/false);
+    nn::Graph g(grad);
     nn::Var e;
-    if (trace) {
+    {
       nn::ExecTraceScope ts(local);
-      e = model.embed(g, d.graph, d.workload, 7);
-    } else {
       e = model.embed(g, d.graph, d.workload, 7);
     }
     best = std::min(best, t.millis());
-    if (trace) *stats = std::move(local);
-    if (rep == 0 && out != nullptr) *out = e->value;
+    if (rep == 0) {
+      if (out != nullptr) *out = e->value;
+      if (stats != nullptr) *stats = std::move(local);
+    }
   }
   return best;
-}
-
-void json_exec_stats(JsonWriter& json, const nn::ExecStats& stats) {
-  json.begin_object();
-  json.field("flushes", stats.flushes);
-  json.field("barriers", stats.barriers);
-  json.field("global_syncs", stats.global_syncs);
-  json.field("released_chains", stats.released_chains);
-  json.field("barriered_chains", stats.barriered_chains);
-  json.field("chains", stats.chains);
-  json.field("steps", stats.steps);
-  json.field("fused_ops", stats.fused_ops);
-  json.field("parallel_cuts", stats.parallel_cuts);
-  json.field("slab_gather_rows", stats.slab_gather_rows);
-  json.field("slab_scatter_rows", stats.slab_scatter_rows);
-  json.field("simd_lanes", stats.simd_lanes);
-  json.key("chain_len_histogram");
-  json.begin_object();
-  for (int b = 0; b < nn::kChainHistBuckets; ++b)
-    json.field(nn::chain_len_bucket_name(b), stats.chain_len_hist[b]);
-  json.end_object();
-  json.begin_array("flush_ms");
-  for (const double ms : stats.flush_ms) json.value(ms);
-  json.end_array();
-  json.end_object();
 }
 
 /// Record-layer overhead: ns to record (not execute) one small op in a
@@ -145,19 +119,18 @@ double measure_record_ns_per_op() {
 int main() {
   const BenchConfig cfg = BenchConfig::from_env();
   print_banner("PROPAGATION",
-               "single-circuit embed vs nn-executor threads and chain fusion "
-               "(record/plan/execute)",
+               "single-circuit embed: direct no-grad sweeps vs the recorded "
+               "grad-path forward",
                cfg);
 
-  const int max_threads = static_cast<int>(env_int("DEEPSEQ_PROP_THREADS", 4));
-  const int reps = static_cast<int>(env_int("DEEPSEQ_PROP_REPS", 3));
-  std::vector<int> sweep{1};
-  for (const int t : {2, 4, 8})
-    if (t <= max_threads) sweep.push_back(t);
+  const int max_threads =
+      std::max(1, static_cast<int>(env_int("DEEPSEQ_PROP_THREADS", 4)));
+  const int reps =
+      std::max(1, static_cast<int>(env_int("DEEPSEQ_PROP_REPS", 3)));
 
   std::vector<Design> designs;
   for (TestDesign& td :
-       build_all_test_designs(default_design_scale(), cfg.eval_seed)) {
+       build_all_test_designs(cfg.design_scale, cfg.eval_seed)) {
     Design d;
     d.name = td.name;
     d.aig = optimize_aig(decompose_to_aig(td.netlist).aig).circuit;
@@ -172,126 +145,113 @@ int main() {
     if (designs[i].aig.num_nodes() > designs[largest].aig.num_nodes())
       largest = i;
 
-  const DeepSeqModel model(ModelConfig::deepseq(cfg.hidden, cfg.iterations));
-  runtime::ThreadPool pool(sweep.back());
+  struct Scale {
+    const char* name;
+    int hidden, iterations;
+  };
+  const Scale scales[] = {{"bench", cfg.hidden, cfg.iterations},
+                          {"paper", 64, 10}};
+
+  runtime::ThreadPool pool(max_threads);
+  nn::Executor sequential;
+  nn::Executor widest(&pool, max_threads);
 
   JsonWriter json;
   json.begin_object();
   json.field("bench", "micro_propagation");
-  json.field("hidden", cfg.hidden);
-  json.field("iterations", cfg.iterations);
   json.field("hardware_concurrency",
              static_cast<int>(std::thread::hardware_concurrency()));
+  json.field("max_threads", max_threads);
+  json.field("reps", reps);
   json.field("largest_design", designs[largest].name);
   json.begin_array("rows");
 
-  std::printf("%-10s | %6s %6s | %7s %5s %4s | %10s | %8s | %5s\n", "design",
-              "nodes", "levels", "threads", "fused", "simd", "embed ms",
-              "speedup", "biteq");
-  std::printf("%.*s\n", 82, std::string(82, '-').c_str());
+  std::printf("%-10s %-5s | %6s %6s | %9s %9s | %9s %9s | %7s | %5s\n",
+              "design", "scale", "nodes", "levels", "direct", "scalar",
+              "graph 1t", "graph Nt", "speedup", "biteq");
+  std::printf("%.*s\n", 96, std::string(96, '-').c_str());
 
-  double largest_best_speedup = 0.0;
-  for (std::size_t i = 0; i < designs.size(); ++i) {
-    const Design& d = designs[i];
-    nn::Tensor reference;
-    double seq_ms = 0.0;
-    for (const int threads : sweep) {
-      for (const bool fused : {true, false}) {
-        for (const bool simd : {false, true}) {
-          set_fuse(fused);
-          set_simd(simd);
-          nn::Executor exec(&pool, threads);
-          nn::Tensor embedding;
-          nn::ExecStats stats;
-          const double ms = time_embed(model, d, exec, reps, &embedding, &stats);
-          // Reference: sequential, fused, scalar — the schedule every other
-          // combination (simd included) must reproduce bit-for-bit.
-          const bool is_ref = threads == 1 && fused && !simd;
-          const bool identical =
-              is_ref ? true : bit_identical(reference, embedding);
-          if (is_ref) {
-            reference = std::move(embedding);
-            seq_ms = ms;
-          }
-          const double speedup = ms > 0.0 ? seq_ms / ms : 0.0;
-          if (i == largest && threads > 1 && fused && simd)
-            largest_best_speedup = std::max(largest_best_speedup, speedup);
-          std::printf(
-              "%-10s | %6zu %6d | %7d %5s %4s | %10.2f | %7.2fx | %5s\n",
-              d.name.c_str(), d.aig.num_nodes(), d.levels, threads,
-              fused ? "yes" : "no", simd ? "yes" : "no", ms, speedup,
-              identical ? "yes" : "NO");
-          json.begin_object();
-          json.field("design", d.name);
-          json.field("nodes", static_cast<std::uint64_t>(d.aig.num_nodes()));
-          json.field("levels", d.levels);
-          json.field("threads", threads);
-          json.field("fused", fused);
-          json.field("simd", simd);
-          json.field("embed_ms", ms);
-          json.field("ns_per_flush",
-                     stats.flushes > 0 ? ms * 1e6 / stats.flushes : 0.0);
-          json.field("speedup_vs_1t", speedup);
-          json.field("bit_identical", identical);
-          json.field("barriers", stats.barriers);
-          json.field("global_syncs", stats.global_syncs);
-          json.field("released_chains", stats.released_chains);
-          json.field("chains", stats.chains);
-          json.field("flushes", stats.flushes);
-          json.field("slab_gather_rows", stats.slab_gather_rows);
-          json.field("slab_scatter_rows", stats.slab_scatter_rows);
-          json.field("simd_lanes", stats.simd_lanes);
-          json.end_object();
-          std::fflush(stdout);
-        }
-      }
+  bool all_identical = true;
+  for (const Scale& sc : scales) {
+    const DeepSeqModel model(ModelConfig::deepseq(sc.hidden, sc.iterations));
+    for (const Design& d : designs) {
+      set_fuse(true);
+      set_simd(true);
+      nn::Tensor direct, direct_scalar, graph_1t, graph_nt;
+      nn::ExecStats direct_stats, graph_stats;
+      const double direct_ms = time_embed(model, d, false, sequential, reps,
+                                          &direct, &direct_stats);
+      const double graph_1t_ms =
+          time_embed(model, d, true, sequential, reps, &graph_1t, &graph_stats);
+      const double graph_nt_ms =
+          time_embed(model, d, true, widest, reps, &graph_nt, nullptr);
+      set_simd(false);
+      const double scalar_ms = time_embed(model, d, false, sequential, reps,
+                                          &direct_scalar, nullptr);
+      set_simd(true);
+      const bool identical = bit_identical(direct, graph_1t) &&
+                             bit_identical(direct, graph_nt) &&
+                             bit_identical(direct, direct_scalar);
+      all_identical = all_identical && identical;
+      const double speedup = direct_ms > 0.0 ? graph_1t_ms / direct_ms : 0.0;
+      std::printf(
+          "%-10s %-5s | %6zu %6d | %9.2f %9.2f | %9.2f %9.2f | %6.2fx | %5s\n",
+          d.name.c_str(), sc.name, d.aig.num_nodes(), d.levels, direct_ms,
+          scalar_ms, graph_1t_ms, graph_nt_ms, speedup,
+          identical ? "yes" : "NO");
+      std::fflush(stdout);
+      json.begin_object();
+      json.field("design", d.name);
+      json.field("scale", sc.name);
+      json.field("hidden", sc.hidden);
+      json.field("iterations", sc.iterations);
+      json.field("nodes", static_cast<std::uint64_t>(d.aig.num_nodes()));
+      json.field("levels", d.levels);
+      json.field("direct_ms", direct_ms);
+      json.field("direct_scalar_ms", scalar_ms);
+      json.field("direct_steps", direct_stats.steps);
+      json.field("direct_level_updates", direct_stats.levels);
+      json.field("direct_rows", direct_stats.rows);
+      json.field("simd_lanes", direct_stats.simd_lanes);
+      json.field("graph_forward_ms_1t", graph_1t_ms);
+      json.field("graph_forward_ms_max_threads", graph_nt_ms);
+      json.field("graph_steps", graph_stats.steps);
+      json.field("graph_flushes", graph_stats.flushes);
+      json.field("graph_chains", graph_stats.chains);
+      json.field("direct_speedup_vs_graph_1t", speedup);
+      json.field("bit_identical", identical);
+      json.end_object();
     }
   }
-  set_simd(true);
   std::printf("\n");
   json.end_array();  // rows
+  json.field("all_bit_identical", all_identical);
 
-  // Per-level (per planner flush) structure + timing of the largest design:
-  // sequential vs widest executor, fused vs unfused — the machine-readable
-  // shape of where time (and synchronization) goes. The fused/unfused
-  // barrier ratio is the structural win chain fusion exists for.
+  const DeepSeqModel model(ModelConfig::deepseq(cfg.hidden, cfg.iterations));
+
+  // Grad-path chain structure of the largest design at the widest
+  // executor: fused vs unfused barriers, the structural win chain fusion
+  // exists for on the training path.
   {
     const Design& d = designs[largest];
-    nn::ExecStats fused_stats, unfused_stats;
-    {
-      set_fuse(true);
-      nn::Executor exec(&pool, 1);
-      nn::ExecStats stats;
-      time_embed(model, d, exec, 1, nullptr, &stats);
-      json.key("levels_1t");
-      json_exec_stats(json, stats);
-    }
-    {
-      set_fuse(true);
-      nn::Executor exec(&pool, sweep.back());
-      time_embed(model, d, exec, 1, nullptr, &fused_stats);
-      json.key("levels_" + std::to_string(sweep.back()) + "t");
-      json_exec_stats(json, fused_stats);
-    }
-    {
-      set_fuse(false);
-      nn::Executor exec(&pool, sweep.back());
-      time_embed(model, d, exec, 1, nullptr, &unfused_stats);
-      json.key("levels_" + std::to_string(sweep.back()) + "t_unfused");
-      json_exec_stats(json, unfused_stats);
-    }
+    nn::ExecStats fused, unfused;
+    set_fuse(true);
+    time_embed(model, d, true, widest, 1, nullptr, &fused);
+    set_fuse(false);
+    time_embed(model, d, true, widest, 1, nullptr, &unfused);
     set_fuse(true);
     const double reduction =
-        fused_stats.barriers > 0
-            ? static_cast<double>(unfused_stats.barriers) /
-                  static_cast<double>(fused_stats.barriers)
-            : 0.0;
+        fused.barriers > 0 ? static_cast<double>(unfused.barriers) /
+                                 static_cast<double>(fused.barriers)
+                           : 0.0;
     std::printf(
-        "%s chain structure at %d threads: %d flushes, %d barriers "
+        "%s grad-path forward at %d threads: %d flushes, %d barriers "
         "(unfused %d, %.1fx fewer), %d chains, %d steps, %d ops fused\n",
-        d.name.c_str(), sweep.back(), fused_stats.flushes,
-        fused_stats.barriers, unfused_stats.barriers, reduction,
-        fused_stats.chains, fused_stats.steps, fused_stats.fused_ops);
+        d.name.c_str(), max_threads, fused.flushes, fused.barriers,
+        unfused.barriers, reduction, fused.chains, fused.steps,
+        fused.fused_ops);
+    json.field("graph_barriers_fused", fused.barriers);
+    json.field("graph_barriers_unfused", unfused.barriers);
     json.field("barrier_reduction_at_max_threads", reduction);
   }
 
@@ -327,21 +287,22 @@ int main() {
       }
       return loss->value.at(0, 0);
     };
-    nn::Executor seq;
-    nn::Executor par(&pool, sweep.back());
     std::vector<nn::Tensor> g_seq, g_par;
-    const float loss_seq = run(seq, g_seq);
-    const float loss_par = run(par, g_par);
+    const float loss_seq = run(sequential, g_seq);
+    const float loss_par = run(widest, g_par);
     bool grads_identical = loss_seq == loss_par && g_seq.size() == g_par.size();
     for (std::size_t k = 0; grads_identical && k < g_seq.size(); ++k)
       grads_identical = bit_identical(g_seq[k], g_par[k]);
     std::printf("grad-mode parity on %s at %d threads: %s\n", d.name.c_str(),
-                sweep.back(), grads_identical ? "bit-identical" : "DIVERGED");
+                max_threads, grads_identical ? "bit-identical" : "DIVERGED");
     json.field("grad_bit_identical", grads_identical);
   }
 
-  json.field("largest_speedup_at_max_threads", largest_best_speedup);
   json.end_object();
   write_json_file("micro_propagation.json", json.str());
+  if (!all_identical) {
+    std::printf("direct embed DIVERGED from the grad-path forward\n");
+    return 1;
+  }
   return 0;
 }

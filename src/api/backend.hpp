@@ -42,7 +42,8 @@ struct BackendInfo {
   /// embed() runs through the nn record/plan/execute pipeline: a single
   /// forward pass scales across the engine's shared worker pool
   /// (DEEPSEQ_NN_THREADS / EngineConfig::nn_threads), bit-identical to the
-  /// sequential path.
+  /// sequential path. False for DeepSeq, whose no-grad embed runs its sweeps
+  /// directly on the calling thread.
   bool threaded_embed = false;
 };
 

@@ -17,6 +17,29 @@ enum class AggregatorKind {
 
 const char* aggregator_name(AggregatorKind k);
 
+/// Buffers of one direct (graph-free) level update, sized once per
+/// propagation from the circuit's largest level (l targets, e in-edges) and
+/// reused by every level of every sweep. Row-major; d = hidden width, m =
+/// message width, f = feature width.
+struct LevelScratch {
+  LevelScratch(std::size_t l, std::size_t e, std::size_t d, std::size_t m,
+               std::size_t f)
+      : hv(l * d), hv_edges(e * d), hu(e * d), x(l * (m + f)), h_new(l * d),
+        gru(4 * l * d), edge_rows(e * d), edge_a(e), edge_b(e), alpha(e),
+        rows_a(l * d), rows_b(l * d), col_a(l), col_b(l), message(l * m),
+        seg_max(l), seg_sum(l) {}
+
+  std::vector<float> hv, hv_edges, hu;  // gathered states: l/e/e rows
+  std::vector<float> x;      // GRU input rows [message | features]
+  std::vector<float> h_new;  // GRU output rows
+  std::vector<float> gru;    // GruCell::apply_direct temporaries
+  std::vector<float> edge_rows, edge_a, edge_b, alpha;  // aggregator, per edge
+  std::vector<float> rows_a, rows_b, col_a, col_b;      // aggregator, per target
+  std::vector<float> message;                           // aggregator output
+  std::vector<float> seg_max;
+  std::vector<double> seg_sum;
+};
+
 /// Parameterized aggregator producing the per-target message matrix.
 ///
 /// Inputs (built by the propagation loop from the state map):
@@ -38,6 +61,14 @@ class Aggregator {
   nn::Var aggregate(nn::Graph& g, const nn::Var& hv_prev_targets,
                     const nn::Var& hv_prev_edges, const nn::Var& hu,
                     const std::vector<int>& segment, int num_targets) const;
+
+  /// Graph-free inference twin of aggregate(): reads s.hv / s.hv_edges /
+  /// s.hu and writes the num_targets x message_dim() message into
+  /// s.message, calling the same nn::kernels in the same per-element order
+  /// as the recorded ops, so the result is bit-identical. Adds its kernel
+  /// calls to `steps`.
+  void aggregate_direct(LevelScratch& s, const std::vector<int>& segment,
+                        int num_targets, int& steps) const;
 
   void collect_params(nn::NamedParams& out) const;
 

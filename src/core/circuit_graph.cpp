@@ -1,5 +1,7 @@
 #include "core/circuit_graph.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 
 namespace deepseq {
@@ -121,6 +123,14 @@ CircuitGraph build_circuit_graph(const Circuit& c) {
     for (NodeId u : av.fanins[v]) av_fanouts[u].push_back(v);
   g.baseline_reverse = reverse_batches(av.levels, av_fanouts, non_pi);
 
+  for (const auto* sweep : {&g.comb_forward, &g.comb_reverse,
+                            &g.baseline_forward, &g.baseline_reverse})
+    for (const LevelBatch& b : *sweep) {
+      g.max_level_targets =
+          std::max(g.max_level_targets, static_cast<int>(b.targets.size()));
+      g.max_level_sources =
+          std::max(g.max_level_sources, static_cast<int>(b.sources.size()));
+    }
   return g;
 }
 

@@ -40,6 +40,9 @@ struct LevelBatch {
 /// * `baseline_forward` / `baseline_reverse` — the plain acyclified-DAG
 ///   schedule used by DAG-ConvGNN / DAG-RecGNN baselines: back edges
 ///   removed, FFs aggregate like ordinary nodes, no state-copy step.
+/// * `max_level_targets` / `max_level_sources` — the largest level of any
+///   of the four schedules, which sizes the per-level scratch of the direct
+///   no-grad propagation once per circuit.
 struct CircuitGraph {
   int num_nodes = 0;
   nn::Tensor features;
@@ -54,6 +57,9 @@ struct CircuitGraph {
 
   std::vector<LevelBatch> baseline_forward;
   std::vector<LevelBatch> baseline_reverse;
+
+  int max_level_targets = 0;
+  int max_level_sources = 0;
 };
 
 /// Build the graph for a strict sequential AIG. Throws CircuitError if the

@@ -4,6 +4,8 @@
 
 #include "common/error.hpp"
 #include "netlist/structural_hash.hpp"
+#include "nn/executor.hpp"
+#include "nn/kernels.hpp"
 #include "nn/serialize.hpp"
 
 namespace deepseq {
@@ -142,59 +144,52 @@ void run_level(Graph& g, const LevelBatch& batch, const Aggregator& agg,
     state[batch.targets[i]] = RowRef{h_new, i};
 }
 
-/// Slab-mode level update (inference): node states are rows of one
-/// plan-owned slab, addressed through the current version marker. The three
-/// gathers read slab rows directly — the planner rewrites them to the base
-/// tensor, so they fuse into their consumer chains instead of escaping into
-/// per-level matrices — and the updated rows scatter back in place,
-/// consuming the version. Returns the next version.
-Var run_level_slab(Graph& g, const LevelBatch& batch, const Aggregator& agg,
-                   const nn::GruCell& gru, const Var& features,
-                   const Var& version) {
-  nn::BatchScope level_scope(g);
+/// Direct (graph-free) level update for no-grad propagation: gather the
+/// level's state rows into scratch, aggregate, GRU-combine, and write the
+/// new rows back into `state`. Every read of the level happens before its
+/// write-back, and each op runs the same nn::kernels routine with the same
+/// per-element order as run_level's recorded ops, so the result is
+/// bit-identical to the graph path.
+void run_level_direct(const LevelBatch& batch, const Aggregator& agg,
+                      const nn::GruCell& gru, const Tensor& features,
+                      Tensor& state, LevelScratch& s, int& steps) {
   const int num_targets = static_cast<int>(batch.targets.size());
-  std::vector<RowRef> target_refs, edge_target_refs, source_refs, feat_refs;
-  target_refs.reserve(batch.targets.size());
-  feat_refs.reserve(batch.targets.size());
-  for (NodeId v : batch.targets) {
-    target_refs.push_back(RowRef{version, static_cast<int>(v)});
-    feat_refs.push_back(RowRef{features, static_cast<int>(v)});
-  }
-  edge_target_refs.reserve(batch.sources.size());
-  source_refs.reserve(batch.sources.size());
-  for (std::size_t e = 0; e < batch.sources.size(); ++e) {
-    edge_target_refs.push_back(RowRef{
-        version, static_cast<int>(batch.targets[batch.segment[e]])});
-    source_refs.push_back(RowRef{version, static_cast<int>(batch.sources[e])});
-  }
+  const int d = state.cols();
+  const auto gather = [&](float* dst, std::size_t count, const auto& node_of) {
+    for (std::size_t i = 0; i < count; ++i)
+      std::copy_n(state.row(static_cast<int>(node_of(i))), d, dst + i * d);
+    ++steps;
+  };
+  gather(s.hv.data(), batch.targets.size(),
+         [&](std::size_t i) { return batch.targets[i]; });
+  gather(s.hv_edges.data(), batch.sources.size(),
+         [&](std::size_t e) { return batch.targets[batch.segment[e]]; });
+  gather(s.hu.data(), batch.sources.size(),
+         [&](std::size_t e) { return batch.sources[e]; });
+  agg.aggregate_direct(s, batch.segment, num_targets, steps);
 
-  const Var hv_prev = g.gather(target_refs);
-  const Var hv_prev_edges = g.gather(edge_target_refs);
-  const Var hu = g.gather(source_refs);
-  const Var m = agg.aggregate(g, hv_prev, hv_prev_edges, hu, batch.segment,
-                              num_targets);
-  const Var x = g.concat_cols({m, g.gather(feat_refs)});
-  const Var h_new = gru.apply(g, x, hv_prev);
-  std::vector<int> targets;
-  targets.reserve(batch.targets.size());
-  for (NodeId v : batch.targets) targets.push_back(static_cast<int>(v));
-  return g.scatter_rows(version, h_new, targets);
+  const int m = agg.message_dim();
+  const int in = m + kFeatureDim;
+  for (int i = 0; i < num_targets; ++i) {
+    float* row = s.x.data() + static_cast<std::size_t>(i) * in;
+    std::copy_n(s.message.data() + static_cast<std::size_t>(i) * m, m, row);
+    std::copy_n(features.row(static_cast<int>(batch.targets[i])), kFeatureDim,
+                row + m);
+  }
+  ++steps;
+  gru.apply_direct(s.x.data(), s.hv.data(), num_targets, s.h_new.data(),
+                   s.gru.data(), steps);
+  for (int i = 0; i < num_targets; ++i)
+    std::copy_n(s.h_new.data() + static_cast<std::size_t>(i) * d, d,
+                state.row(static_cast<int>(batch.targets[i])));
+  ++steps;
 }
-
-}  // namespace
-
-namespace {
 
 /// Levels recorded per planner flush. Grouping levels amortizes the
 /// executor's helper-enlisting cost and lets the chain planner fuse within
-/// and across levels of one group (independent chains of different levels
-/// schedule concurrently as coarse tasks), while bounding how many
-/// unexecuted intermediates a no-grad pass holds at once. The planner sees
-/// the cross-level dependencies, so grouping never reorders computation.
-/// Retuned for chain granularity: fusion cut barriers per level by ~an
-/// order of magnitude, so doubling the group (32 -> 64) halves the
-/// remaining per-flush dispatch overhead on deep designs at a still-modest
-/// pending-intermediate footprint.
+/// and across levels of one group, while bounding how many unexecuted
+/// intermediates a pass holds at once. The planner sees the cross-level
+/// dependencies, so grouping never reorders computation.
 constexpr int kLevelsPerFlush = 64;
 
 /// Run one direction sweep (all levels) in level groups.
@@ -210,67 +205,62 @@ void run_sweep(Graph& g, const std::vector<LevelBatch>& levels,
   }
 }
 
-/// Slab-mode sweep: threads the version marker through the levels of each
-/// flush group. Same grouping, same cross-level dependencies — the version
-/// chain just replaces the per-level state matrices.
-Var run_sweep_slab(Graph& g, const std::vector<LevelBatch>& levels,
-                   const Aggregator& agg, const nn::GruCell& gru,
-                   const Var& features, Var version) {
-  std::size_t i = 0;
-  while (i < levels.size()) {
-    nn::BatchScope group(g);
-    const std::size_t end =
-        std::min(levels.size(), i + static_cast<std::size_t>(kLevelsPerFlush));
-    for (; i < end; ++i)
-      version = run_level_slab(g, levels[i], agg, gru, features, version);
-  }
-  return version;
-}
-
 }  // namespace
 
-Var DeepSeqModel::propagate(Graph& g, const CircuitGraph& graph,
-                            const Workload& w, std::uint64_t init_seed) const {
-  const Var features = g.constant(graph.features);
-  Tensor h0_states = initial_states(graph, w, config_.hidden_dim, init_seed);
-
+Tensor DeepSeqModel::propagate_direct(const CircuitGraph& graph,
+                                      Tensor state) const {
+  // Direct runs never flush, so the SIMD gate is refreshed here instead.
+  nn::kernels::refresh_from_env();
   const bool custom = config_.propagation == PropagationKind::kDeepSeqCustom;
   const auto& fwd = custom ? graph.comb_forward : graph.baseline_forward;
   const auto& rev = custom ? graph.comb_reverse : graph.baseline_reverse;
-
-  if (!g.grad_enabled() && nn::nn_slab_from_env()) {
-    // Slab path (inference): every node's state is a row of one slab
-    // tensor, updated in place through the consume-exactly-once version
-    // chain. Gathers read the slab directly (no per-level state matrices to
-    // escape into), so flush groups fuse into long chains and the final
-    // readout is a single N-row gather. Bit-identical to the matrix path:
-    // the same kernels run in the same order over the same rows.
-    Var version = g.slab(std::move(h0_states));
-    for (int t = 0; t < config_.iterations; ++t) {
-      version = run_sweep_slab(g, fwd, agg_fwd_, gru_fwd_, features, version);
-      version = run_sweep_slab(g, rev, agg_rev_, gru_rev_, features, version);
-      if (custom && !graph.ff_targets.empty()) {
-        // Step 4 (Fig. 2): FFs take their D predecessor's representation.
-        // The gather executes before the scatter overwrites, so FF->FF
-        // chains shift correctly (same two-phase rule as the matrix path).
-        std::vector<RowRef> src;
-        src.reserve(graph.ff_sources.size());
-        for (NodeId u : graph.ff_sources)
-          src.push_back(RowRef{version, static_cast<int>(u)});
-        const Var vals = g.gather(src);
-        std::vector<int> tgts;
-        tgts.reserve(graph.ff_targets.size());
-        for (NodeId v : graph.ff_targets) tgts.push_back(static_cast<int>(v));
-        version = g.scatter_rows(version, vals, tgts);
-      }
+  const int d = config_.hidden_dim;
+  LevelScratch s(graph.max_level_targets, graph.max_level_sources, d,
+                 agg_fwd_.message_dim(), kFeatureDim);
+  const bool ff_copy = custom && !graph.ff_targets.empty();
+  Tensor ff_rows(ff_copy ? static_cast<int>(graph.ff_targets.size()) : 0, d);
+  int steps = 0, levels = 0, rows = 0;
+  const auto sweep = [&](const std::vector<LevelBatch>& batches,
+                         const Aggregator& agg, const nn::GruCell& gru) {
+    for (const LevelBatch& b : batches) {
+      run_level_direct(b, agg, gru, graph.features, state, s, steps);
+      ++levels;
+      rows += static_cast<int>(b.targets.size());
     }
-    std::vector<RowRef> all;
-    all.reserve(static_cast<std::size_t>(graph.num_nodes));
-    for (int v = 0; v < graph.num_nodes; ++v)
-      all.push_back(RowRef{version, v});
-    return g.gather(all);
+  };
+  for (int t = 0; t < config_.iterations; ++t) {
+    sweep(fwd, agg_fwd_, gru_fwd_);
+    sweep(rev, agg_rev_, gru_rev_);
+    if (ff_copy) {
+      // Step 4 (Fig. 2), two-phase so FF->FF chains shift correctly.
+      for (std::size_t k = 0; k < graph.ff_sources.size(); ++k)
+        std::copy_n(state.row(static_cast<int>(graph.ff_sources[k])), d,
+                    ff_rows.row(static_cast<int>(k)));
+      for (std::size_t k = 0; k < graph.ff_targets.size(); ++k)
+        std::copy_n(ff_rows.row(static_cast<int>(k)), d,
+                    state.row(static_cast<int>(graph.ff_targets[k])));
+      steps += 2;
+    }
   }
+  if (nn::ExecStats* trace = nn::active_exec_trace()) {
+    trace->steps += steps;
+    trace->levels += levels;
+    trace->rows += rows;
+    trace->simd_lanes = nn::kernels::lanes();
+  }
+  return state;
+}
 
+Var DeepSeqModel::propagate(Graph& g, const CircuitGraph& graph,
+                            const Workload& w, std::uint64_t init_seed) const {
+  Tensor h0_states = initial_states(graph, w, config_.hidden_dim, init_seed);
+  if (!g.grad_enabled())
+    return g.constant(propagate_direct(graph, std::move(h0_states)));
+
+  const Var features = g.constant(graph.features);
+  const bool custom = config_.propagation == PropagationKind::kDeepSeqCustom;
+  const auto& fwd = custom ? graph.comb_forward : graph.baseline_forward;
+  const auto& rev = custom ? graph.comb_reverse : graph.baseline_reverse;
   const Var h0 = g.constant(std::move(h0_states));
   std::vector<RowRef> state(static_cast<std::size_t>(graph.num_nodes));
   for (int v = 0; v < graph.num_nodes; ++v) state[v] = RowRef{h0, v};

@@ -91,8 +91,13 @@ class DeepSeqModel {
   void copy_params_from(const DeepSeqModel& other);
 
  private:
+  /// Grad-enabled graphs record the sweeps as ops; no-grad graphs get
+  /// propagate_direct's result as a constant.
   nn::Var propagate(nn::Graph& g, const CircuitGraph& graph, const Workload& w,
                     std::uint64_t init_seed) const;
+  /// The sweeps as straight nn::kernels calls over the initial `state`,
+  /// bit-identical to the recorded path, with no record, plan or dispatch.
+  nn::Tensor propagate_direct(const CircuitGraph& graph, nn::Tensor state) const;
 
   ModelConfig config_;
   Aggregator agg_fwd_, agg_rev_;

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -27,14 +26,16 @@ bool nn_depsched_from_env();
 
 /// Per-flush execution counters, collected when an ExecTraceScope is active
 /// on the calling thread (benches and the structural CI gate use this).
-/// `barriers`/`chains`/`chain_len_hist`/`global_syncs`/`released_chains`/
-/// `barriered_chains` are structural properties of the built plans and the
-/// selected scheduler — independent of how many cores actually ran them.
+/// `barriers`/`chains`/`global_syncs`/`released_chains`/`barriered_chains`
+/// are structural properties of the built plans and the selected scheduler —
+/// independent of how many cores actually ran them.
 struct ExecStats {
   int flushes = 0;
   int barriers = 0;       // cut waves planned (what the barrier scheduler pays)
   int chains = 0;         // chain clusters planned (fused chains + singletons)
-  int steps = 0;          // kernel steps executed
+  int steps = 0;          // kernel steps executed (plan steps + direct calls)
+  int levels = 0;         // level updates of direct (never-flushing) propagation
+  int rows = 0;           // node rows those level updates rewrote
   int fused_ops = 0;      // ops that rode inside a multi-op chain
   int parallel_cuts = 0;  // cuts dispatched to the pool with > 1 task
   /// Global synchronization points the active scheduler actually pays: one
@@ -47,11 +48,7 @@ struct ExecStats {
   /// Chain tasks that waited behind a cut barrier instead (barrier
   /// scheduling only: every task beyond the first cut).
   int barriered_chains = 0;
-  int slab_gather_rows = 0;   // gather rows served from a state slab
-  int slab_scatter_rows = 0;  // rows scattered into a state slab
-  int simd_lanes = 1;         // kernel lane width of the last flush (8 = AVX2)
-  std::array<int, kChainHistBuckets> chain_len_hist{};  // chains by length
-  std::vector<double> flush_ms;  // one entry per Graph::flush, in call order
+  int simd_lanes = 1;  // kernel lane width of the last run (8 = AVX2)
 };
 
 /// The execute layer: runs a Plan's cut waves of chain tasks — and taped
@@ -138,6 +135,10 @@ class ExecutorScope {
  private:
   Executor* prev_;
 };
+
+/// The stats the innermost ExecTraceScope on this thread collects into, or
+/// null when none is active (work that bypasses the executor reports here).
+ExecStats* active_exec_trace();
 
 /// RAII per-flush stats collection on the calling thread (benches only).
 class ExecTraceScope {

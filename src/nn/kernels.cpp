@@ -1,6 +1,8 @@
 #include "nn/kernels.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 
 #include "common/env.hpp"
 
@@ -281,5 +283,57 @@ void matmul_rows(const float* a, int lda, const float* b, int ldb, float* out, i
 }
 
 #undef DEEPSEQ_DISPATCH
+
+void matmul(const float* a, const float* b, float* out, int rows, int k, int n) {
+  std::fill(out, out + static_cast<std::size_t>(rows) * n, 0.0f);
+  matmul_rows(a, k, b, n, out, n, 0, rows, k, n);
+}
+
+void sigmoid(float* o, const float* x, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) o[i] = 1.0f / (1.0f + std::exp(-x[i]));
+}
+
+void tanh_(float* o, const float* x, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) o[i] = std::tanh(x[i]);
+}
+
+void add_row(float* o, const float* a, const float* row, int rows, int cols) {
+  for (int r = 0; r < rows; ++r) {
+    const std::size_t off = static_cast<std::size_t>(r) * cols;
+    add(o + off, a + off, row, static_cast<std::size_t>(cols));
+  }
+}
+
+void mul_col(float* o, const float* v, const float* col, int rows, int cols) {
+  for (int r = 0; r < rows; ++r) {
+    const std::size_t off = static_cast<std::size_t>(r) * cols;
+    scale(o + off, v + off, col[r], static_cast<std::size_t>(cols));
+  }
+}
+
+void segment_sum(float* out, const float* v, const int* segment, int rows,
+                 int cols, int cb, int ce) {
+  for (int r = 0; r < rows; ++r) {
+    float* dst = out + static_cast<std::size_t>(segment[r]) * cols;
+    const float* src = v + static_cast<std::size_t>(r) * cols;
+    for (int c = cb; c < ce; ++c) dst[c] += src[c];
+  }
+}
+
+void segment_softmax(float* out, const float* scores, const int* segment,
+                     int count, int num_segments, float* seg_max,
+                     double* seg_sum) {
+  std::fill(seg_max, seg_max + num_segments, -1e30f);
+  std::fill(seg_sum, seg_sum + num_segments, 0.0);
+  for (int e = 0; e < count; ++e)
+    seg_max[segment[e]] = std::max(seg_max[segment[e]], scores[e]);
+  for (int e = 0; e < count; ++e) {
+    const float x = std::exp(scores[e] - seg_max[segment[e]]);
+    out[e] = x;
+    seg_sum[segment[e]] += x;
+  }
+  for (int e = 0; e < count; ++e)
+    out[e] = static_cast<float>(out[e] / seg_sum[segment[e]]);
+}
 
 }  // namespace deepseq::nn::kernels

@@ -19,8 +19,11 @@ namespace deepseq::nn::kernels {
 ///
 /// Dispatch is runtime: the AVX2 path runs only when the host supports it
 /// AND DEEPSEQ_NN_SIMD (env_int, default 1) is nonzero. The executor
-/// refreshes the env gate once per flush (refresh_from_env), so a process
-/// can A/B simd on/off between runs exactly like DEEPSEQ_NN_FUSE.
+/// refreshes the env gate once per flush (refresh_from_env), and the direct
+/// no-grad propagation once per call, so a process can A/B simd on/off
+/// between runs exactly like DEEPSEQ_NN_FUSE. The executor and the direct
+/// propagation both compute every forward op through these routines, which
+/// keeps the two paths bit-identical.
 
 /// DEEPSEQ_NN_SIMD knob (env_int): 0 forces the scalar fallback;
 /// unset or any other value enables the vector path where supported.
@@ -46,6 +49,27 @@ void mul(float* o, const float* x, const float* y, std::size_t n);
 void scale(float* o, const float* x, float s, std::size_t n);
 void relu(float* o, const float* x, std::size_t n);
 void one_minus(float* o, const float* x, std::size_t n);
+/// o = 1 / (1 + exp(-x)); scalar libm by design (exp has no exact vector twin).
+void sigmoid(float* o, const float* x, std::size_t n);
+/// o = tanh(x); scalar libm by design.
+void tanh_(float* o, const float* x, std::size_t n);
+
+// ---- row-structured forward (contiguous row-major, `cols` floats per row) --
+/// o[r] = a[r] + row for rows [0, rows).
+void add_row(float* o, const float* a, const float* row, int rows, int cols);
+/// o[r] = v[r] * col[r] (one scalar per row) for rows [0, rows).
+void mul_col(float* o, const float* v, const float* col, int rows, int cols);
+/// out[segment[r]][c] += v[r][c] over rows [0, rows) in ascending order, for
+/// columns [cb, ce) only (the executor splits segment sums by column).
+/// Accumulates: `out` must hold zeros (or a partial sum) on entry.
+void segment_sum(float* out, const float* v, const int* segment, int rows,
+                 int cols, int cb, int ce);
+/// Per-segment softmax of an E-vector of scores: max-shifted exp, a double
+/// per-segment sum, then one division per entry. `seg_max`/`seg_sum` are
+/// caller scratch of `num_segments` entries (overwritten).
+void segment_softmax(float* out, const float* scores, const int* segment,
+                     int count, int num_segments, float* seg_max,
+                     double* seg_sum);
 
 // ---- elementwise backward accumulations ------------------------------------
 void acc_add(float* dst, const float* g, std::size_t n);                   // dst += g
@@ -61,5 +85,9 @@ void acc_scale(float* dst, const float* g, float s, std::size_t n);        // ds
 /// zero-initializes matmul outputs at record time).
 void matmul_rows(const float* a, int lda, const float* b, int ldb, float* out,
                  int ldo, int rb, int re, int k, int n);
+
+/// out (rows x n) = a (rows x k) * b (k x n), all contiguous: zero-fills
+/// `out`, then matmul_rows — a recorded matmul op's exact arithmetic.
+void matmul(const float* a, const float* b, float* out, int rows, int k, int n);
 
 }  // namespace deepseq::nn::kernels

@@ -1,6 +1,7 @@
 #include "nn/modules.hpp"
 
 #include "common/error.hpp"
+#include "nn/kernels.hpp"
 
 namespace deepseq::nn {
 
@@ -13,6 +14,13 @@ Linear::Linear(int in_dim, int out_dim, Rng& rng, std::string name)
 
 Var Linear::apply(Graph& g, const Var& x) const {
   return g.add_row(g.matmul(x, w_), b_);
+}
+
+void Linear::apply_direct(const float* x, int rows, float* out,
+                          int& steps) const {
+  kernels::matmul(x, w_->value.data(), out, rows, in_dim_, out_dim_);
+  kernels::add_row(out, out, b_->value.data(), rows, out_dim_);
+  steps += 2;
 }
 
 void Linear::collect_params(NamedParams& out) const {
@@ -73,6 +81,41 @@ Var GruCell::apply(Graph& g, const Var& x, const Var& h) const {
   const Var r = g.sigmoid(g.add_row(g.add(g.matmul(x, wr_), g.matmul(h, ur_)), br_));
   const Var n = g.tanh_(g.add_row(g.add(g.matmul(x, wn_), g.matmul(g.mul(r, h), un_)), bn_));
   return g.add(g.mul(g.one_minus(z), n), g.mul(z, h));
+}
+
+void GruCell::apply_direct(const float* x, const float* h, int rows,
+                           float* out, float* tmp, int& steps) const {
+  namespace k = kernels;
+  const int d = hidden_dim_;
+  const std::size_t n = static_cast<std::size_t>(rows) * d;
+  float* z = tmp;
+  float* r = tmp + n;
+  float* a = tmp + 2 * n;
+  float* b = tmp + 3 * n;
+  // One gate: act((x W) + (h U) + bias), as apply() records it.
+  const auto gate = [&](const Var& w, const float* hin, const Var& u,
+                        const Var& bias, float* dst, bool tanh_act) {
+    k::matmul(x, w->value.data(), a, rows, in_dim_, d);
+    k::matmul(hin, u->value.data(), b, rows, d, d);
+    k::add(a, a, b, n);
+    k::add_row(a, a, bias->value.data(), rows, d);
+    if (tanh_act) {
+      k::tanh_(dst, a, n);
+    } else {
+      k::sigmoid(dst, a, n);
+    }
+    steps += 5;
+  };
+  gate(wz_, h, uz_, bz_, z, false);
+  gate(wr_, h, ur_, br_, r, false);
+  k::mul(r, r, h, n);  // r * h
+  ++steps;
+  gate(wn_, r, un_, bn_, a, true);  // n lands in `a`, read before reuse
+  k::one_minus(r, z, n);
+  k::mul(r, r, a, n);  // (1 - z) * n
+  k::mul(b, z, h, n);  // z * h
+  k::add(out, r, b, n);
+  steps += 4;
 }
 
 void GruCell::collect_params(NamedParams& out) const {

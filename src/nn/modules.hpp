@@ -18,6 +18,10 @@ class Linear {
   Linear(int in_dim, int out_dim, Rng& rng, std::string name = "linear");
 
   Var apply(Graph& g, const Var& x) const;
+  /// Graph-free inference twin of apply() over `rows` contiguous rows: the
+  /// same nn::kernels calls in the same per-element order, so the result is
+  /// bit-identical. Adds its kernel calls to `steps`.
+  void apply_direct(const float* x, int rows, float* out, int& steps) const;
 
   int in_dim() const { return in_dim_; }
   int out_dim() const { return out_dim_; }
@@ -60,6 +64,12 @@ class GruCell {
   GruCell(int in_dim, int hidden_dim, Rng& rng, std::string name = "gru");
 
   Var apply(Graph& g, const Var& x, const Var& h) const;
+  /// Graph-free inference twin of apply() over `rows` contiguous rows of x
+  /// and h, bit-identical to it (same kernels, same per-element order).
+  /// `tmp` holds 4 * rows * hidden_dim() floats. Adds its kernel calls to
+  /// `steps`.
+  void apply_direct(const float* x, const float* h, int rows, float* out,
+                    float* tmp, int& steps) const;
 
   int in_dim() const { return in_dim_; }
   int hidden_dim() const { return hidden_dim_; }

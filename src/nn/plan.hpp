@@ -85,15 +85,12 @@ bool nn_fuse_from_env();
 /// Chain-length histogram buckets: 1, 2, 3, 4, 5-8, 9-16, 17-32, 33+.
 inline constexpr int kChainHistBuckets = 8;
 int chain_len_bucket(int len);
-const char* chain_len_bucket_name(int bucket);
 
 /// Structural counters of one built plan, for benches and the CI gate.
 struct PlanStats {
   std::uint32_t ops = 0;        // ops planned
   std::uint32_t chains = 0;     // clusters (fused chains + singletons)
   std::uint32_t fused_ops = 0;  // ops riding inside a multi-op chain
-  std::uint32_t slab_gather_rows = 0;   // gather rows served from a state slab
-  std::uint32_t slab_scatter_rows = 0;  // rows scattered into a state slab
   std::array<std::uint32_t, kChainHistBuckets> chain_len_hist{};
 };
 

@@ -48,8 +48,8 @@ struct TraceEvent {
   std::uint32_t tid = 0;  // filled by TraceSink::record
   TaskContext ctx;
   std::uint64_t structure = 0;  // structural-hash digest; 0 = none
-  // Up to eight numeric args (null name = unused slot).
-  static constexpr int kMaxArgs = 8;
+  // Up to ten numeric args (null name = unused slot).
+  static constexpr int kMaxArgs = 10;
   const char* arg_name[kMaxArgs] = {};
   std::int64_t arg[kMaxArgs] = {};
 };

@@ -32,8 +32,6 @@ struct EngineMetrics {
   // and chain tasks released by finishing producers (vs. held at barriers).
   obs::Counter& nn_global_syncs = reg.counter("nn.global_syncs");
   obs::Counter& nn_released_chains = reg.counter("nn.released_chains");
-  // State-slab traffic: rows gathered from / scattered into state slabs.
-  obs::Counter& nn_slab_rows = reg.counter("nn.slab_rows");
   static EngineMetrics& get() {
     static EngineMetrics m;
     return m;
@@ -246,9 +244,9 @@ EmbeddingResult InferenceEngine::process(
     if (request.want_state) result.state = structure;
 
     if (request.want_embedding) {
-      // The "embed" span folds the chain executor's work (nn::ExecStats)
-      // into the task trace: flushes, fused chains, barriers, kernel steps,
-      // scheduler global syncs, released chains, slab rows, simd lanes.
+      // The "embed" span folds the nn work (nn::ExecStats) into the task
+      // trace: flushes, fused chains, barriers, kernel steps, scheduler
+      // global syncs, released chains, direct level updates and rows, simd.
       // The per-flush stats collection itself is gated on tracing so the
       // disabled path stays free of extra clock reads.
       const std::uint64_t t0 = tracing ? obs::trace_now_ns() : 0;
@@ -272,9 +270,6 @@ EmbeddingResult InferenceEngine::process(
             static_cast<std::uint64_t>(exec_stats.global_syncs));
         metrics.nn_released_chains.inc(
             static_cast<std::uint64_t>(exec_stats.released_chains));
-        metrics.nn_slab_rows.inc(
-            static_cast<std::uint64_t>(exec_stats.slab_gather_rows +
-                                       exec_stats.slab_scatter_rows));
         obs::TraceEvent e =
             make_span("embed", t0, obs::trace_now_ns(), request.trace, digest);
         e.arg_name[0] = "chains";
@@ -289,10 +284,12 @@ EmbeddingResult InferenceEngine::process(
         e.arg[4] = exec_stats.global_syncs;
         e.arg_name[5] = "released_chains";
         e.arg[5] = exec_stats.released_chains;
-        e.arg_name[6] = "slab_rows";
-        e.arg[6] = exec_stats.slab_gather_rows + exec_stats.slab_scatter_rows;
-        e.arg_name[7] = "simd_lanes";
-        e.arg[7] = exec_stats.simd_lanes;
+        e.arg_name[6] = "levels";
+        e.arg[6] = exec_stats.levels;
+        e.arg_name[7] = "rows";
+        e.arg[7] = exec_stats.rows;
+        e.arg_name[8] = "simd_lanes";
+        e.arg[8] = exec_stats.simd_lanes;
         obs::TraceSink::global().record(e);
       }
       if (config_.cache_embeddings) cache_.put_embedding(ekey, embedding);

@@ -322,7 +322,8 @@ TEST(Session, WarmProbabilityTrafficSkipsRegressionHeads) {
 
 TEST(Session, BackendsReportThreadedEmbedCapability) {
   Session session(small_session());
-  EXPECT_TRUE(session.backend("deepseq").info().threaded_embed);
+  // DeepSeq's no-grad embed runs its sweeps directly on the calling thread.
+  EXPECT_FALSE(session.backend("deepseq").info().threaded_embed);
   EXPECT_TRUE(session.backend("pace").info().threaded_embed);
   EXPECT_GE(session.num_threads(), 1);
 }

@@ -74,7 +74,8 @@ TEST(Executor, ParallelBackwardBitIdenticalToSequentialForAllPresets) {
 
 TEST(Executor, ParallelCutsActuallyDispatch) {
   // Guard against silently testing the inline path only: at 4 threads the
-  // deepseq preset on this fixture must cross the parallel-dispatch
+  // deepseq preset's recorded forward (a grad-enabled graph: no-grad embeds
+  // bypass the executor) on this fixture must cross the parallel-dispatch
   // thresholds in at least one cut wave, and chain fusion must actually
   // fuse ops (multi-op chains) rather than degenerate to one op per task.
   // Fusion is pinned on explicitly: the CI matrix also runs this suite
@@ -89,7 +90,7 @@ TEST(Executor, ParallelCutsActuallyDispatch) {
     nn::ExecutorScope scope(parallel);
     nn::ExecTraceScope trace(stats);
     const DeepSeqModel model(ModelConfig::deepseq(32, 2));
-    Graph g(false);
+    Graph g(/*grad_enabled=*/true);
     model.embed(g, parity_fixture().graph, parity_fixture().workload, 7);
   }
   EXPECT_GT(stats.flushes, 0);

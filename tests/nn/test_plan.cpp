@@ -336,10 +336,10 @@ TEST(PlanStructure, PllShapedGraphCutsBarriersTenfold) {
   EXPECT_GT(fused.fused_ops, (kLevels * 13) / 2);
 }
 
-// ---- dependency-counted scheduling and state slabs --------------------------
+// ---- dependency-counted scheduling -----------------------------------------
 
-/// Save/restore one env knob (DEEPSEQ_NN_DEPSCHED / DEEPSEQ_NN_SLAB), so
-/// these tests compose with any ambient CI matrix leg.
+/// Save/restore one env knob (DEEPSEQ_NN_DEPSCHED), so these tests compose
+/// with any ambient CI matrix leg.
 struct EnvVarGuard {
   explicit EnvVarGuard(const char* n)
       : name(n),
@@ -359,12 +359,10 @@ struct EnvVarGuard {
 
 TEST(DepSchedParity, DepCountedMatchesBarrierForAllPresetsAndThreadCounts) {
   // Embeddings and gradients bit-identical across DEEPSEQ_NN_DEPSCHED={1,0}
-  // x threads={1,2,4} for every ModelConfig preset; embeddings additionally
-  // across DEEPSEQ_NN_SLAB={1,0} (slabs are inference-only). The reference
-  // is the dep-scheduled, slab-enabled sequential run.
+  // x threads={1,2,4} for every ModelConfig preset. The reference is the
+  // dep-scheduled sequential run.
   FuseGuard fuse_guard;
   EnvVarGuard dep_guard("DEEPSEQ_NN_DEPSCHED");
-  EnvVarGuard slab_guard("DEEPSEQ_NN_SLAB");
   set_fuse(true);
   runtime::ThreadPool pool(4);
   auto embed_with = [](const DeepSeqModel& model, nn::Executor& exec) {
@@ -376,7 +374,6 @@ TEST(DepSchedParity, DepCountedMatchesBarrierForAllPresetsAndThreadCounts) {
   for (const ModelConfig& config : parity_presets()) {
     const DeepSeqModel model(config);
     ::setenv("DEEPSEQ_NN_DEPSCHED", "1", 1);
-    ::setenv("DEEPSEQ_NN_SLAB", "1", 1);
     nn::Executor sequential;
     const Tensor reference = embed_with(model, sequential);
     const GradRun ref_grads = train_step_with(model, sequential);
@@ -385,12 +382,9 @@ TEST(DepSchedParity, DepCountedMatchesBarrierForAllPresetsAndThreadCounts) {
       ::setenv("DEEPSEQ_NN_DEPSCHED", dep ? "1" : "0", 1);
       for (const int threads : {1, 2, 4}) {
         nn::Executor exec(&pool, threads);
-        for (const bool slab : {true, false}) {
-          ::setenv("DEEPSEQ_NN_SLAB", slab ? "1" : "0", 1);
-          EXPECT_TRUE(bit_identical(reference, embed_with(model, exec)))
-              << config.description() << " embed diverges at " << threads
-              << " threads, depsched=" << dep << ", slab=" << slab;
-        }
+        EXPECT_TRUE(bit_identical(reference, embed_with(model, exec)))
+            << config.description() << " embed diverges at " << threads
+            << " threads, depsched=" << dep;
         const GradRun grads = train_step_with(model, exec);
         EXPECT_EQ(ref_grads.loss, grads.loss)
             << config.description() << " depsched=" << dep;
@@ -505,53 +499,6 @@ TEST(PlanStructure, DepSchedulingCollapsesGlobalSyncsToOnePerFlush) {
   EXPECT_EQ(barrier.released_chains, 0);
   EXPECT_GT(barrier.barriered_chains, 0);
   EXPECT_EQ(dep.barriered_chains, 0);
-}
-
-TEST(PlanStructure, SlabChainsFuseAndCountInHistogram) {
-  // A slab-based deep-narrow recurrence: gather slab rows -> elementwise
-  // chain -> scatter back. The gathers read the base tensor (no per-level
-  // state matrices to escape into), so whole levels — scatter included —
-  // must fuse into multi-op chains, and the chain-length histogram must
-  // count those fused-slab chains in its >= 5-step buckets.
-  FuseGuard fuse_guard;
-  EnvVarGuard dep_guard("DEEPSEQ_NN_DEPSCHED");
-  set_fuse(true);
-  ::setenv("DEEPSEQ_NN_DEPSCHED", "1", 1);
-  nn::Executor exec;  // sequential: histogram is structural
-  nn::ExecutorScope scope(exec);
-  nn::ExecStats stats;
-  nn::ExecTraceScope ts(stats);
-  constexpr int kLevels = 24;
-  constexpr int kRows = 8;
-  Graph g(/*grad_enabled=*/false);
-  Var version = g.slab(Tensor::full(kRows, 8, 0.3f));
-  {
-    nn::BatchScope group(g);
-    std::vector<int> targets(kRows);
-    for (int r = 0; r < kRows; ++r) targets[r] = r;
-    for (int level = 0; level < kLevels; ++level) {
-      std::vector<nn::RowRef> refs;
-      for (int r = 0; r < kRows; ++r)
-        refs.push_back(nn::RowRef{version, kRows - 1 - r});
-      Var x = g.gather(refs);
-      for (int i = 0; i < 3; ++i) x = g.sigmoid(g.scale(x, 1.01f));
-      version = g.scatter_rows(version, x, targets);
-    }
-  }
-  EXPECT_EQ(stats.slab_gather_rows, kLevels * kRows);
-  EXPECT_EQ(stats.slab_scatter_rows, kLevels * kRows);
-  // Each level records 8 ops (gather + 6 elementwise + scatter). The
-  // gather and the elementwise run must fuse into one chain per level (the
-  // scatter stays its own cluster: its reader-ordering edges forbid joining
-  // a potentially row-split chain), so at most 2 chains per level — far
-  // fewer than the 8 waves the unfused planner would emit — and the
-  // histogram must count the fused-slab chains in its >= 5-step buckets.
-  ASSERT_GT(stats.chains, 0);
-  EXPECT_LE(stats.chains, kLevels * 2);
-  int long_chains = 0;
-  for (int b = nn::chain_len_bucket(5); b < nn::kChainHistBuckets; ++b)
-    long_chains += stats.chain_len_hist[b];
-  EXPECT_GT(long_chains, 0);
 }
 
 }  // namespace
