@@ -97,20 +97,19 @@ Var Aggregator::aggregate(Graph& g, const Var& hv_prev_targets,
 
 void Aggregator::aggregate_direct(LevelScratch& s,
                                   const std::vector<int>& segment,
-                                  int num_targets, int& steps) const {
+                                  int num_targets) const {
   namespace k = nn::kernels;
   const int edges = static_cast<int>(segment.size());
   const int d = dim_;
   const std::size_t target_floats = static_cast<std::size_t>(num_targets) * d;
   if (kind_ == AggregatorKind::kConvSum) {
-    conv_w_.apply_direct(s.hu.data(), edges, s.edge_rows.data(), steps);
+    conv_w_.apply_direct(s.hu.data(), edges, s.edge_rows.data());
     std::fill_n(s.rows_a.data(), target_floats, 0.0f);
     k::segment_sum(s.rows_a.data(), s.edge_rows.data(), segment.data(), edges,
                    d, 0, d);
     inverse_degree(segment, num_targets, s.col_a.data());
     k::mul_col(s.message.data(), s.rows_a.data(), s.col_a.data(), num_targets,
                d);
-    steps += 2;
     return;
   }
   // Eq. 5: logic-probability message m_LG.
@@ -126,7 +125,6 @@ void Aggregator::aggregate_direct(LevelScratch& s,
   k::mul_col(s.edge_rows.data(), s.hu.data(), s.alpha.data(), edges, d);
   std::fill_n(m_lg, target_floats, 0.0f);
   k::segment_sum(m_lg, s.edge_rows.data(), segment.data(), edges, d, 0, d);
-  steps += 6;
   if (!dual) return;
   // Eq. 6 gate and Eq. 7 concatenation m_TR || m_LG.
   float* gate = s.col_a.data();
@@ -140,7 +138,6 @@ void Aggregator::aggregate_direct(LevelScratch& s,
     std::copy_n(s.rows_b.data() + static_cast<std::size_t>(i) * d, d, row);
     std::copy_n(m_lg + static_cast<std::size_t>(i) * d, d, row + d);
   }
-  steps += 6;
 }
 
 void Aggregator::collect_params(nn::NamedParams& out) const {

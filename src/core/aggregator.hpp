@@ -65,10 +65,9 @@ class Aggregator {
   /// Graph-free inference twin of aggregate(): reads s.hv / s.hv_edges /
   /// s.hu and writes the num_targets x message_dim() message into
   /// s.message, calling the same nn::kernels in the same per-element order
-  /// as the recorded ops, so the result is bit-identical. Adds its kernel
-  /// calls to `steps`.
+  /// as the recorded ops, so the result is bit-identical.
   void aggregate_direct(LevelScratch& s, const std::vector<int>& segment,
-                        int num_targets, int& steps) const;
+                        int num_targets) const;
 
   void collect_params(nn::NamedParams& out) const;
 

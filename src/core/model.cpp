@@ -152,13 +152,12 @@ void run_level(Graph& g, const LevelBatch& batch, const Aggregator& agg,
 /// bit-identical to the graph path.
 void run_level_direct(const LevelBatch& batch, const Aggregator& agg,
                       const nn::GruCell& gru, const Tensor& features,
-                      Tensor& state, LevelScratch& s, int& steps) {
+                      Tensor& state, LevelScratch& s) {
   const int num_targets = static_cast<int>(batch.targets.size());
   const int d = state.cols();
   const auto gather = [&](float* dst, std::size_t count, const auto& node_of) {
     for (std::size_t i = 0; i < count; ++i)
       std::copy_n(state.row(static_cast<int>(node_of(i))), d, dst + i * d);
-    ++steps;
   };
   gather(s.hv.data(), batch.targets.size(),
          [&](std::size_t i) { return batch.targets[i]; });
@@ -166,7 +165,7 @@ void run_level_direct(const LevelBatch& batch, const Aggregator& agg,
          [&](std::size_t e) { return batch.targets[batch.segment[e]]; });
   gather(s.hu.data(), batch.sources.size(),
          [&](std::size_t e) { return batch.sources[e]; });
-  agg.aggregate_direct(s, batch.segment, num_targets, steps);
+  agg.aggregate_direct(s, batch.segment, num_targets);
 
   const int m = agg.message_dim();
   const int in = m + kFeatureDim;
@@ -176,13 +175,23 @@ void run_level_direct(const LevelBatch& batch, const Aggregator& agg,
     std::copy_n(features.row(static_cast<int>(batch.targets[i])), kFeatureDim,
                 row + m);
   }
-  ++steps;
   gru.apply_direct(s.x.data(), s.hv.data(), num_targets, s.h_new.data(),
-                   s.gru.data(), steps);
+                   s.gru.data());
   for (int i = 0; i < num_targets; ++i)
     std::copy_n(s.h_new.data() + static_cast<std::size_t>(i) * d, d,
                 state.row(static_cast<int>(batch.targets[i])));
-  ++steps;
+}
+
+/// Kernel calls run_level_direct makes per level, for the trace: three
+/// state gathers, the aggregator's calls (Linear + segment sum + degree
+/// scaling; or Eq. 5's six; or Eq. 5-7's twelve), the [message | features]
+/// concat, the GRU's 20 (three 5-call gates, r*h, the 4-call blend) and
+/// the write-back.
+int direct_steps_per_level(AggregatorKind kind) {
+  const int aggregator = kind == AggregatorKind::kConvSum     ? 4
+                         : kind == AggregatorKind::kAttention ? 6
+                                                              : 12;
+  return 3 + aggregator + 1 + 20 + 1;
 }
 
 /// Levels recorded per planner flush. Grouping levels amortizes the
@@ -220,10 +229,12 @@ Tensor DeepSeqModel::propagate_direct(const CircuitGraph& graph,
   const bool ff_copy = custom && !graph.ff_targets.empty();
   Tensor ff_rows(ff_copy ? static_cast<int>(graph.ff_targets.size()) : 0, d);
   int steps = 0, levels = 0, rows = 0;
+  const int level_steps = direct_steps_per_level(config_.aggregator);
   const auto sweep = [&](const std::vector<LevelBatch>& batches,
                          const Aggregator& agg, const nn::GruCell& gru) {
     for (const LevelBatch& b : batches) {
-      run_level_direct(b, agg, gru, graph.features, state, s, steps);
+      run_level_direct(b, agg, gru, graph.features, state, s);
+      steps += level_steps;
       ++levels;
       rows += static_cast<int>(b.targets.size());
     }
@@ -253,6 +264,9 @@ Tensor DeepSeqModel::propagate_direct(const CircuitGraph& graph,
 
 Var DeepSeqModel::propagate(Graph& g, const CircuitGraph& graph,
                             const Workload& w, std::uint64_t init_seed) const {
+  // Checked here so both paths agree: without it the direct path would
+  // return an empty embedding.
+  if (graph.num_nodes == 0) throw CircuitError("propagate: empty circuit");
   Tensor h0_states = initial_states(graph, w, config_.hidden_dim, init_seed);
   if (!g.grad_enabled())
     return g.constant(propagate_direct(graph, std::move(h0_states)));

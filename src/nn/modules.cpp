@@ -16,11 +16,9 @@ Var Linear::apply(Graph& g, const Var& x) const {
   return g.add_row(g.matmul(x, w_), b_);
 }
 
-void Linear::apply_direct(const float* x, int rows, float* out,
-                          int& steps) const {
+void Linear::apply_direct(const float* x, int rows, float* out) const {
   kernels::matmul(x, w_->value.data(), out, rows, in_dim_, out_dim_);
   kernels::add_row(out, out, b_->value.data(), rows, out_dim_);
-  steps += 2;
 }
 
 void Linear::collect_params(NamedParams& out) const {
@@ -84,7 +82,7 @@ Var GruCell::apply(Graph& g, const Var& x, const Var& h) const {
 }
 
 void GruCell::apply_direct(const float* x, const float* h, int rows,
-                           float* out, float* tmp, int& steps) const {
+                           float* out, float* tmp) const {
   namespace k = kernels;
   const int d = hidden_dim_;
   const std::size_t n = static_cast<std::size_t>(rows) * d;
@@ -104,18 +102,15 @@ void GruCell::apply_direct(const float* x, const float* h, int rows,
     } else {
       k::sigmoid(dst, a, n);
     }
-    steps += 5;
   };
   gate(wz_, h, uz_, bz_, z, false);
   gate(wr_, h, ur_, br_, r, false);
   k::mul(r, r, h, n);  // r * h
-  ++steps;
   gate(wn_, r, un_, bn_, a, true);  // n lands in `a`, read before reuse
   k::one_minus(r, z, n);
   k::mul(r, r, a, n);  // (1 - z) * n
   k::mul(b, z, h, n);  // z * h
   k::add(out, r, b, n);
-  steps += 4;
 }
 
 void GruCell::collect_params(NamedParams& out) const {

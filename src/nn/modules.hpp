@@ -20,8 +20,8 @@ class Linear {
   Var apply(Graph& g, const Var& x) const;
   /// Graph-free inference twin of apply() over `rows` contiguous rows: the
   /// same nn::kernels calls in the same per-element order, so the result is
-  /// bit-identical. Adds its kernel calls to `steps`.
-  void apply_direct(const float* x, int rows, float* out, int& steps) const;
+  /// bit-identical.
+  void apply_direct(const float* x, int rows, float* out) const;
 
   int in_dim() const { return in_dim_; }
   int out_dim() const { return out_dim_; }
@@ -66,10 +66,9 @@ class GruCell {
   Var apply(Graph& g, const Var& x, const Var& h) const;
   /// Graph-free inference twin of apply() over `rows` contiguous rows of x
   /// and h, bit-identical to it (same kernels, same per-element order).
-  /// `tmp` holds 4 * rows * hidden_dim() floats. Adds its kernel calls to
-  /// `steps`.
+  /// `tmp` holds 4 * rows * hidden_dim() floats.
   void apply_direct(const float* x, const float* h, int rows, float* out,
-                    float* tmp, int& steps) const;
+                    float* tmp) const;
 
   int in_dim() const { return in_dim_; }
   int hidden_dim() const { return hidden_dim_; }

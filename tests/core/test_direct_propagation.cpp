@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "api/session.hpp"
+#include "common/error.hpp"
 #include "dataset/test_designs.hpp"
 #include "netlist/aig.hpp"
 #include "nn/executor.hpp"
@@ -110,6 +111,15 @@ TEST(DirectPropagation, BitIdenticalToGraphPathForAllPresets) {
       }
     }
   }
+}
+
+TEST(DirectPropagation, EmptyCircuitIsRejectedOnBothPaths) {
+  const CircuitGraph empty = build_circuit_graph(Circuit{});
+  ASSERT_EQ(empty.num_nodes, 0);
+  const DeepSeqModel model(ModelConfig::deepseq(8, 1));
+  for (const bool grad : {false, true})
+    EXPECT_THROW(embed(model, empty, Workload{}, grad), CircuitError)
+        << "grad " << grad;
 }
 
 /// Kernel calls of one direct level update: three state gathers, the

@@ -1,7 +1,9 @@
 // Parity of the record/plan/execute pipeline across thread counts: parallel
 // execution must be bit-identical to the sequential path — forward
-// embeddings, loss values, and gradients — for every ModelConfig preset, in
-// grad and no-grad modes. Chunk boundaries are fixed by the plan and every
+// embeddings, loss values, and gradients — for every ModelConfig preset.
+// Embeddings are taken from a grad-enabled graph: a no-grad embed bypasses
+// the executor (direct propagation, pinned in
+// tests/core/test_direct_propagation.cpp). Chunk boundaries are fixed by the plan and every
 // output element is produced by exactly one chunk with the sequential
 // inner-loop order, so equality here is exact (memcmp), not approximate.
 
@@ -33,7 +35,7 @@ using testsupport::train_step_with;
 
 Tensor embed_with(const DeepSeqModel& model, nn::Executor& exec) {
   nn::ExecutorScope scope(exec);
-  Graph g(/*grad_enabled=*/false);
+  Graph g(/*grad_enabled=*/true);
   return model.embed(g, parity_fixture().graph, parity_fixture().workload, 7)
       ->value;
 }

@@ -206,8 +206,10 @@ TEST(Plan, GatherAbsorbsIntoSequentialChainOnlyWhenCheap) {
 
 TEST(PlanParity, FusedMatchesUnfusedForAllPresetsAndThreadCounts) {
   // Embeddings and gradients bit-identical across DEEPSEQ_NN_FUSE={1,0} x
-  // threads={1,2,4} for every ModelConfig preset. The reference is the
-  // fused sequential run; everything else must memcmp-match it.
+  // threads={1,2,4} for every ModelConfig preset. Embeddings come from a
+  // grad-enabled graph, the recorded forward the executor runs (a no-grad
+  // embed bypasses it). The reference is the fused sequential run;
+  // everything else must memcmp-match it.
   FuseGuard guard;
   runtime::ThreadPool pool(4);
   for (const ModelConfig& config : parity_presets()) {
@@ -218,7 +220,7 @@ TEST(PlanParity, FusedMatchesUnfusedForAllPresetsAndThreadCounts) {
     Tensor reference;
     {
       nn::ExecutorScope scope(sequential);
-      Graph g(/*grad_enabled=*/false);
+      Graph g(/*grad_enabled=*/true);
       reference = model.embed(g, parity_fixture().graph, parity_fixture().workload, 7)->value;
     }
     const GradRun ref_grads = train_step_with(model, sequential);
@@ -230,7 +232,7 @@ TEST(PlanParity, FusedMatchesUnfusedForAllPresetsAndThreadCounts) {
         Tensor got;
         {
           nn::ExecutorScope scope(exec);
-          Graph g(/*grad_enabled=*/false);
+          Graph g(/*grad_enabled=*/true);
           got = model.embed(g, parity_fixture().graph, parity_fixture().workload, 7)->value;
         }
         EXPECT_TRUE(bit_identical(reference, got))
@@ -359,7 +361,8 @@ struct EnvVarGuard {
 
 TEST(DepSchedParity, DepCountedMatchesBarrierForAllPresetsAndThreadCounts) {
   // Embeddings and gradients bit-identical across DEEPSEQ_NN_DEPSCHED={1,0}
-  // x threads={1,2,4} for every ModelConfig preset. The reference is the
+  // x threads={1,2,4} for every ModelConfig preset, embeddings from the
+  // recorded forward of a grad-enabled graph. The reference is the
   // dep-scheduled sequential run.
   FuseGuard fuse_guard;
   EnvVarGuard dep_guard("DEEPSEQ_NN_DEPSCHED");
@@ -367,7 +370,7 @@ TEST(DepSchedParity, DepCountedMatchesBarrierForAllPresetsAndThreadCounts) {
   runtime::ThreadPool pool(4);
   auto embed_with = [](const DeepSeqModel& model, nn::Executor& exec) {
     nn::ExecutorScope scope(exec);
-    Graph g(/*grad_enabled=*/false);
+    Graph g(/*grad_enabled=*/true);
     return model.embed(g, parity_fixture().graph, parity_fixture().workload, 7)
         ->value;
   };
