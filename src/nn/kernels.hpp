@@ -7,15 +7,26 @@ namespace deepseq::nn::kernels {
 /// Vectorized chain-step primitives with a bit-identical scalar fallback.
 ///
 /// Every routine here computes exactly the same per-element operation
-/// sequence as the executor's original scalar loops: elementwise kernels
-/// apply one IEEE op per element, and the matmul microkernel accumulates
-/// each output element over the inner dimension in ascending order with the
-/// same zero-skip, using separate multiply and add (never FMA — the scalar
-/// baseline is compiled without FP contraction, so a fused multiply-add
-/// would change rounding). The AVX2 paths therefore produce byte-identical
-/// results to the scalar paths, which tests/nn/test_kernels.cpp pins per
-/// kernel; transcendental kernels (sigmoid, tanh, the softmax family) stay
-/// scalar libm by design.
+/// sequence on both paths: elementwise kernels apply one IEEE op per
+/// element, and the matmul microkernel accumulates each output element over
+/// the inner dimension in ascending order with the same zero-skip, using
+/// separate multiply and add (never FMA — the library is built with
+/// -ffp-contract=off, so a fused multiply-add would change rounding). Narrow
+/// products (fewer than 8 output columns) vectorize across blocks of 8
+/// output rows instead of columns, with the zero-skip kept per lane.
+///
+/// sigmoid and tanh are this library's own exp-based functions, not libm:
+/// Cody–Waite range reduction, magic-number rounding, a Horner polynomial
+/// and an exponent-bit scale, written once as an AVX2 body and once as a
+/// scalar twin with the same float operations in the same order. Against a
+/// double-precision reference they are within 3 ulp on normal outputs (tanh
+/// within 1.3); NaN propagates, sigmoid(0) = 0.5, sigmoid(±inf) = 1 / 0,
+/// tanh(±0) = ±0, tanh(±inf) = ±1 and tanh is bitwise odd. The softmax
+/// family keeps libm exp (edge-sized, off the hot path).
+///
+/// The AVX2 paths therefore produce byte-identical results to the scalar
+/// paths, which tests/nn/test_kernels.cpp pins per kernel, with the
+/// activations' accuracy bound beside it.
 ///
 /// Dispatch is runtime: the AVX2 path runs only when the host supports it
 /// AND DEEPSEQ_NN_SIMD (env_int, default 1) is nonzero. The executor
@@ -49,9 +60,9 @@ void mul(float* o, const float* x, const float* y, std::size_t n);
 void scale(float* o, const float* x, float s, std::size_t n);
 void relu(float* o, const float* x, std::size_t n);
 void one_minus(float* o, const float* x, std::size_t n);
-/// o = 1 / (1 + exp(-x)); scalar libm by design (exp has no exact vector twin).
+/// o = 1 / (1 + exp(-x)), exp as described above.
 void sigmoid(float* o, const float* x, std::size_t n);
-/// o = tanh(x); scalar libm by design.
+/// o = tanh(x): an odd polynomial for |x| < 0.625, else 1 - 2 / (e^{2|x|} + 1).
 void tanh_(float* o, const float* x, std::size_t n);
 
 // ---- row-structured forward (contiguous row-major, `cols` floats per row) --

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "nn/kernels.hpp"
 
 namespace deepseq::nn {
 
@@ -168,16 +169,17 @@ void scale_in_place(Tensor& t, float s) {
   for (std::size_t i = 0; i < t.size(); ++i) t.data()[i] *= s;
 }
 
+// The activations have one definition, nn::kernels', so these agree with the
+// graph and direct propagation paths bit for bit.
 Tensor sigmoid(const Tensor& a) {
   Tensor out(a.rows(), a.cols());
-  for (std::size_t i = 0; i < a.size(); ++i)
-    out.data()[i] = 1.0f / (1.0f + std::exp(-a.data()[i]));
+  kernels::sigmoid(out.data(), a.data(), a.size());
   return out;
 }
 
 Tensor tanh_t(const Tensor& a) {
   Tensor out(a.rows(), a.cols());
-  for (std::size_t i = 0; i < a.size(); ++i) out.data()[i] = std::tanh(a.data()[i]);
+  kernels::tanh_(out.data(), a.data(), a.size());
   return out;
 }
 

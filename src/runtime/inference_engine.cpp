@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -147,9 +148,9 @@ void InferenceEngine::dispatch_batch(
       // heads) run under the engine's intra-circuit executor: large kernels
       // fan out over the same pool this worker came from.
       nn::ExecutorScope nn_scope(nn_exec_);
-      // One hash computation serves the whole group (same Circuit object).
-      const Circuit& c = *(*shared_group)[0]->request.circuit;
-      const CircuitHashes hashes{structural_hash(c), exact_hash(c)};
+      // One hash computation serves the whole group (same Circuit object):
+      // the first request's resolve stage fills it, the rest reuse it.
+      std::optional<CircuitHashes> hashes;
       for (auto& p : *shared_group) {
         try {
           p->deliver(process(p->request, p->enqueued, hashes));
@@ -177,7 +178,7 @@ std::shared_ptr<const api::BackendState> InferenceEngine::resolve_structure(
 EmbeddingResult InferenceEngine::process(
     const EmbeddingRequest& request,
     std::chrono::steady_clock::time_point enqueued,
-    const CircuitHashes& hashes) {
+    std::optional<CircuitHashes>& hashes) {
   if (request.backend == nullptr)
     throw Error("InferenceEngine: request without a backend");
   const api::EmbeddingBackend& backend = *request.backend;
@@ -189,47 +190,62 @@ EmbeddingResult InferenceEngine::process(
   result.trace = request.trace;
   result.queue_ms = ms_since(enqueued, start);
 
-  result.structure = hashes.structural;
-  const StructureKey skey{hashes.structural, hashes.exact, fingerprint};
+  // The resolve stage starts here: it builds the structure key, so hashing
+  // the circuit is part of it, not of the queue wait.
+  if (!hashes) {
+    const Circuit& c = *request.circuit;
+    hashes = CircuitHashes{structural_hash(c), exact_hash(c)};
+  }
+  result.structure = hashes->structural;
+  const StructureKey skey{hashes->structural, hashes->exact, fingerprint};
 
   // Tracing is per-task: only requests carrying a Session-assigned context
   // record spans (and only while the global switch is on — one relaxed
   // load on the disabled path, no extra clock reads).
   const bool tracing = request.trace.kind != nullptr && obs::tracing_enabled();
-  const std::uint64_t digest = hashes.structural.digest;
+  const std::uint64_t digest = hashes->structural.digest;
+  const std::uint64_t resolve_t0 = tracing ? obs::to_trace_ns(start) : 0;
   if (tracing)
-    obs::TraceSink::global().record(
-        make_span("queue", obs::to_trace_ns(enqueued), obs::to_trace_ns(start),
-                  request.trace, digest));
+    obs::TraceSink::global().record(make_span(
+        "queue", obs::to_trace_ns(enqueued), resolve_t0, request.trace, digest));
 
   EmbeddingKey ekey;
-  ekey.structure = hashes.structural;
-  ekey.exact = hashes.exact;
+  ekey.structure = hashes->structural;
+  ekey.exact = hashes->exact;
   ekey.backend_fingerprint = fingerprint;
   ekey.workload_fingerprint = workload_fingerprint(request.workload);
   ekey.init_seed = request.init_seed;
   result.key = ekey;
 
-  // Timed, traced structure resolve ("resolve" span; hit/miss as an arg).
+  // The "resolve" span runs from the end of the queue wait through hashing,
+  // the embedding-cache lookup and, when the request needs the structure,
+  // its resolve (cache_hit = 0 only when prepare() ran).
+  const auto record_resolve = [&](bool cache_hit) {
+    if (!tracing) return;
+    obs::TraceEvent e = make_span("resolve", resolve_t0, obs::trace_now_ns(),
+                                  request.trace, digest);
+    e.arg_name[0] = "cache_hit";
+    e.arg[0] = cache_hit ? 1 : 0;
+    obs::TraceSink::global().record(e);
+  };
   const auto traced_resolve = [&] {
-    const std::uint64_t t0 = tracing ? obs::trace_now_ns() : 0;
     auto structure = resolve_structure(backend, *request.circuit, skey,
                                        &result.structure_cache_hit);
-    if (tracing) {
-      obs::TraceEvent e = make_span("resolve", t0, obs::trace_now_ns(),
-                                    request.trace, digest);
-      e.arg_name[0] = "cache_hit";
-      e.arg[0] = result.structure_cache_hit ? 1 : 0;
-      obs::TraceSink::global().record(e);
-    }
+    record_resolve(result.structure_cache_hit);
     return structure;
   };
 
   const auto finish_cached = [&](std::shared_ptr<const nn::Tensor> cached) {
     result.embedding = std::move(cached);
     result.embedding_cache_hit = true;
-    if (request.want_state) result.state = traced_resolve();
-    result.total_ms = ms_since(enqueued, std::chrono::steady_clock::now());
+    if (request.want_state) {
+      result.state = traced_resolve();
+    } else {
+      record_resolve(true);
+    }
+    const auto end = std::chrono::steady_clock::now();
+    result.compute_ms = ms_since(start, end);
+    result.total_ms = ms_since(enqueued, end);
     return result;
   };
 
@@ -295,6 +311,8 @@ EmbeddingResult InferenceEngine::process(
       if (config_.cache_embeddings) cache_.put_embedding(ekey, embedding);
       result.embedding = std::move(embedding);
     }
+  } else {
+    record_resolve(true);
   }
 
   const auto end = std::chrono::steady_clock::now();
@@ -307,8 +325,7 @@ EmbeddingResult InferenceEngine::run_sync(const EmbeddingRequest& request) {
   if (request.circuit == nullptr)
     throw Error("InferenceEngine: request without a circuit");
   nn::ExecutorScope nn_scope(nn_exec_);
-  const CircuitHashes hashes{structural_hash(*request.circuit),
-                             exact_hash(*request.circuit)};
+  std::optional<CircuitHashes> hashes;
   return process(request, std::chrono::steady_clock::now(), hashes);
 }
 

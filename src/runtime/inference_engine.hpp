@@ -8,6 +8,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -63,8 +64,8 @@ struct EmbeddingResult {
   const api::EmbeddingBackend* backend = nullptr;
   bool structure_cache_hit = false;
   bool embedding_cache_hit = false;
-  double queue_ms = 0.0;    // submit -> start of compute
-  double compute_ms = 0.0;  // structure resolve + forward (0 on cache hit)
+  double queue_ms = 0.0;    // submit -> start of compute (waiting only)
+  double compute_ms = 0.0;  // circuit hash + structure resolve + forward
   double total_ms = 0.0;    // submit -> fulfillment
   /// The request's observability identity, passed through so task heads
   /// (api::Session::finish) record their spans under the same task id.
@@ -184,8 +185,8 @@ class InferenceEngine {
     std::function<void(std::exception_ptr)> fail;
   };
 
-  /// Both circuit digests, computed once per coalesced group so the warm
-  /// path does not re-hash per request.
+  /// Both circuit digests, computed once per coalesced group (by its first
+  /// request's resolve stage) so the warm path does not re-hash per request.
   struct CircuitHashes {
     StructuralHash structural;
     std::uint64_t exact = 0;
@@ -196,7 +197,7 @@ class InferenceEngine {
   void dispatch_batch(std::vector<std::unique_ptr<Pending>> batch);
   EmbeddingResult process(const EmbeddingRequest& request,
                           std::chrono::steady_clock::time_point enqueued,
-                          const CircuitHashes& hashes);
+                          std::optional<CircuitHashes>& hashes);
   std::shared_ptr<const api::BackendState> resolve_structure(
       const api::EmbeddingBackend& backend, const Circuit& circuit,
       const StructureKey& key, bool* hit);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <vector>
@@ -344,6 +345,41 @@ TEST(InferenceEngine, LatencyBreakdownIsPopulated) {
   EXPECT_GT(res.compute_ms, 0.0);
   EXPECT_GE(res.total_ms, res.compute_ms);
   EXPECT_GE(res.queue_ms, 0.0);
+}
+
+TEST(InferenceEngine, QueueTimeExcludesCircuitHashing) {
+  // A circuit large enough that hashing it takes milliseconds. The request
+  // wants neither embedding nor state, so the engine's work is the hash and
+  // the key. That work is the resolve stage's (compute_ms); queue_ms is
+  // the wait for a worker only. max_batch 1 dispatches on submit, so the
+  // wait is a pool hand-off on an idle engine.
+  Rng rng(21);
+  GeneratorSpec spec;
+  spec.num_pis = 32;
+  spec.num_ffs = 256;
+  spec.num_gates = 60000;
+  const auto circuit = std::make_shared<const Circuit>(generate_circuit(spec, rng));
+  Backends backends;
+  InferenceEngine engine(small_engine(/*threads=*/1, /*max_batch=*/1));
+  double hash_ms = 1e30, queue_ms = 1e30, compute_ms = 1e30;
+  for (int i = 0; i < 3; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    (void)structural_hash(*circuit);
+    (void)exact_hash(*circuit);
+    hash_ms = std::min(hash_ms, std::chrono::duration<double, std::milli>(
+                                    std::chrono::steady_clock::now() - t0)
+                                    .count());
+    EmbeddingRequest r;
+    r.circuit = circuit;
+    r.backend = &backends.deepseq;
+    r.want_embedding = false;
+    const EmbeddingResult res = engine.submit(r).get();
+    queue_ms = std::min(queue_ms, res.queue_ms);
+    compute_ms = std::min(compute_ms, res.compute_ms);
+  }
+  ASSERT_GT(hash_ms, 2.0) << "circuit too small to tell hashing from waiting";
+  EXPECT_LT(queue_ms, 0.5 * hash_ms);
+  EXPECT_GT(compute_ms, 0.5 * hash_ms);
 }
 
 }  // namespace
